@@ -27,9 +27,7 @@ from .train import (
     TrainResult,
     TrainingError,
     kmax_bound,
-    select_active_side,
     train,
-    train_robust,
 )
 from .analysis import (
     Datapath,

@@ -206,7 +206,8 @@ def check_timing(dp: Datapath) -> TimingReport:
     return TimingReport(setup_slack, hold_slack, tuple(violations))
 
 
-# Margin schedule used by the robustness experiments.
+# Margin schedule used by the robustness experiments and by
+# `ftl train --robust`.
 # The finer training step keeps consecutive levels from collapsing onto
 # the same solution; 0.20 S is the largest level that still converges
 # for the F115 reference function.
@@ -228,12 +229,15 @@ def margin_schedule(
     params: DeviceParams | None = None,
     margin_step: float = ROBUST_MARGIN_STEP,
     max_margin: float = ROBUST_MAX_MARGIN,
-    train_delta: float = ROBUST_TRAIN_DELTA,
 ) -> list[MarginLevel]:
-    """Warm-started chain of trainings at margins 0, step, ..., max_margin;
-    stops at the last level that converges."""
+    """Warm-started chain of trainings at margins 0, step, ..., max_margin
+    with training step ROBUST_TRAIN_DELTA; stops at the last level that
+    converges.  Each level's result carries the trace of its own
+    training."""
+    if margin_step <= 0:
+        raise ValueError("margin_step must be positive")
     params = params or DeviceParams()
-    cfg = TrainConfig(delta=train_delta)
+    cfg = TrainConfig(delta=ROBUST_TRAIN_DELTA, record_trace=True)
     cur = train(tt, params, cfg)
     if not cur.converged:
         raise TrainingError("margin-0 training failed; not a threshold function")
@@ -247,9 +251,7 @@ def margin_schedule(
     add(0.0, cur)
     margin = margin_step
     while margin <= max_margin + 1e-15:
-        nxt = _train_from(cur.cell, tt,
-                          replace(cfg, handicap_margin=margin,
-                                  active_side=cur.active_side),
+        nxt = _train_from(cur.cell, tt, replace(cfg, handicap_margin=margin),
                           cur.active_side)
         if not nxt.converged:
             break
@@ -270,20 +272,16 @@ def retune_delay(
     tt: TruthTable,
     target: float,
     direction: str,
-    params: DeviceParams | None = None,
-    margin_step: float = ROBUST_MARGIN_STEP,
-    max_margin: float = ROBUST_MAX_MARGIN,
-    train_delta: float = ROBUST_TRAIN_DELTA,
+    levels: list[MarginLevel],
 ) -> FtlCell:
-    """Reprogram for a different C2Q: 'faster' walks the margin schedule up
-    until worst-case delay <= target, 'slower' walks it down until
-    worst-case delay >= target.  The result always verifies tt."""
+    """Reprogram for a different C2Q by picking one of the margin_schedule
+    levels: 'faster' walks them up until worst-case delay <= target,
+    'slower' walks them down until worst-case delay >= target.  The result
+    always verifies tt."""
     if direction not in ("faster", "slower"):
         raise ValueError("direction must be 'faster' or 'slower'")
     if not verify_cell(cell, tt):
         raise ValueError("cell does not verify the target function")
-    levels = margin_schedule(tt, params or cell.params, margin_step,
-                             max_margin, train_delta)
     if direction == "faster":
         for lv in levels:
             if lv.delay <= target:
@@ -354,7 +352,7 @@ def run_timing_fix(
 
     d_before = worst_case_delay(cell, tt)
     before = check_timing(replace(dp, launch_c2q=d_before))
-    fixed = retune_delay(cell, tt, target, direction, params)
+    fixed = retune_delay(cell, tt, target, direction, levels)
     d_after = worst_case_delay(fixed, tt)
     after = check_timing(replace(dp, launch_c2q=d_after))
     return TimingFix(scenario, before, after, cell, fixed, d_before, d_after)

@@ -24,7 +24,7 @@ import click
 from . import analysis, mapping, netlist, threshold
 from .device import DeviceParams, verify_cell
 from .train import (TrainConfig, TrainingError, kmax_bound, train,
-                    train_robust, write_trace_csv)
+                    write_trace_csv)
 from .truthtable import parse_truth_table, to_positive_form
 
 EXIT_VALIDATION = 2
@@ -49,11 +49,10 @@ def _write_text(path: str, text: str, header: bool, label: str) -> None:
         raise CliError(f"cannot write {path}: {e}", EXIT_IO)
 
 
-def _write_manifest(out: str, config: dict, header: bool) -> None:
+def _write_manifest(out: str, config: dict) -> None:
     _write_text(os.path.join(out, "manifest.json"),
                 json.dumps(config, indent=2, sort_keys=True) + "\n",
                 False, "manifest")
-    del header
 
 
 def _ensure_out(out: str) -> None:
@@ -67,6 +66,10 @@ def _capture_csv(write_fn) -> str:
     buf = io.StringIO()
     write_fn(buf)
     return buf.getvalue()
+
+
+def _rows_csv(rows) -> str:
+    return _capture_csv(lambda fp: csv.writer(fp).writerows(rows))
 
 
 def _resolve_function(spec: str, weight_bound: int):
@@ -128,13 +131,14 @@ def cmd_catalog(n_max, weight_bound, out, no_header):
     text = _capture_csv(lambda fp: threshold.write_catalog_csv(entries, fp))
     _write_text(os.path.join(out, "catalog.csv"), text, not no_header, "catalog")
     _write_manifest(out, {"command": "catalog", "n_max": n_max,
-                          "weight_bound": weight_bound}, not no_header)
+                          "weight_bound": weight_bound})
     click.echo(f"{len(entries)} catalog entries -> {out}/catalog.csv")
 
 
 @main.command("train")
 @click.argument("spec")
-@click.option("--robust", is_flag=True, help="Run the margin schedule.")
+@click.option("--robust", is_flag=True,
+              help="Run the margin schedule and keep its top level.")
 @click.option("--margin-step", default=analysis.ROBUST_MARGIN_STEP,
               show_default=True)
 @click.option("--max-margin", default=analysis.ROBUST_MAX_MARGIN,
@@ -154,19 +158,21 @@ def cmd_train(spec, robust, margin_step, max_margin, weight_bound,
         raise CliError(f"{spec} is not a threshold function", EXIT_CONVERGENCE)
     positive, mask = to_positive_form(tt)
     params = _device_params(vdd, delta)
-    cfg = TrainConfig(record_trace=True)
     if robust:
         try:
-            result, achieved = train_robust(
-                positive, params, cfg, margin_step, max_margin)
+            top = analysis.margin_schedule(positive, params, margin_step,
+                                           max_margin)[-1]
+        except ValueError as e:
+            raise CliError(str(e), EXIT_VALIDATION)
         except TrainingError as e:
             raise CliError(str(e), EXIT_CONVERGENCE)
+        result, achieved = top.result, top.margin
     else:
-        result = train(positive, params, cfg)
+        result = train(positive, params, TrainConfig(record_trace=True))
         achieved = 0.0
         if not result.converged:
-            raise CliError("training did not converge within the iteration "
-                           "bound", EXIT_CONVERGENCE)
+            raise CliError(f"training did not converge (stopped on "
+                           f"{result.stop_reason})", EXIT_CONVERGENCE)
     cell_doc = json.loads(result.cell.to_json())
     cell_doc["polarity_mask"] = mask
     cell_doc["achieved_margin"] = achieved
@@ -176,7 +182,7 @@ def cmd_train(spec, robust, margin_step, max_margin, weight_bound,
     _write_text(os.path.join(out, "trace.csv"), text, not no_header, "trace")
     _write_manifest(out, {"command": "train", "spec": spec, "robust": robust,
                           "margin_step": margin_step, "max_margin": max_margin,
-                          "vdd": vdd, "delta": delta}, not no_header)
+                          "vdd": vdd, "delta": delta})
     click.echo(f"converged in {result.iterations} iterations "
                f"(margin {achieved:g}) -> {out}/cell.json")
 
@@ -190,7 +196,7 @@ def _exp_iterations(params, args, seed):
         rows.append([e.index, e.n, e.hex(), r.iterations,
                      kmax_bound(e.n, params.delta, params.vdd),
                      int(r.converged)])
-    return {"iterations.csv": rows}
+    return {"iterations.csv": _rows_csv(rows)}
 
 
 def _f115_schedule(params):
@@ -213,7 +219,7 @@ def _exp_yield_sweep(params, args, seed):
         rep = analysis.yield_mc(lv.result.cell, tt, mc)
         rows.append([f"{lv.margin:.3f}", f"{lv.min_separation:.6e}",
                      f"{lv.delay:.6e}", f"{rep.yield_fraction:.5f}"])
-    return {"yield_sweep.csv": rows}
+    return {"yield_sweep.csv": _rows_csv(rows)}
 
 
 def _exp_conductivity(params, args, seed):
@@ -222,13 +228,8 @@ def _exp_conductivity(params, args, seed):
     out = {}
     for tag, lv in (("baseline", levels[0]), ("robust", levels[-1])):
         cmap = analysis.conductivity_map(lv.result.cell, tt)
-        rows = [["minterm", "g_left", "g_right", "onset"]]
-        for r in cmap.records:
-            rows.append([r.minterm, f"{r.g_left:.6e}", f"{r.g_right:.6e}",
-                         int(r.onset)])
-        rows.append(["min_onset_sep", f"{cmap.min_onset_sep:.6e}", "", ""])
-        rows.append(["min_offset_sep", f"{cmap.min_offset_sep:.6e}", "", ""])
-        out[f"conductivity_{tag}.csv"] = rows
+        out[f"conductivity_{tag}.csv"] = _capture_csv(
+            lambda fp: analysis.write_conductivity_csv(cmap, fp))
     return out
 
 
@@ -236,22 +237,16 @@ def _exp_vdd_sweep(params, args, seed):
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
     points = analysis.vdd_sweep(lv.result.cell, tt)
-    rows = [["vdd", "vgate", "functional", "delay", "power"]]
-    for pt in points:
-        rows.append([f"{pt.vdd:.3f}", f"{pt.vgate:.3f}", int(pt.functional),
-                     f"{pt.delay:.6e}", f"{pt.power:.6e}"])
-    return {"vdd_sweep.csv": rows}
+    return {"vdd_sweep.csv": _capture_csv(
+        lambda fp: analysis.write_sweep_csv(points, fp))}
 
 
 def _exp_delay_hist(params, args, seed):
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
     rep = analysis.yield_mc(lv.result.cell, tt, _mc_config(args, seed))
-    rows = [["bin_lo", "bin_hi", "count"]]
-    for lo, hi, c in zip(rep.hist_edges[:-1], rep.hist_edges[1:],
-                         rep.hist_counts):
-        rows.append([f"{lo:.6e}", f"{hi:.6e}", int(c)])
-    return {"delay_hist.csv": rows}
+    return {"delay_hist.csv": _capture_csv(
+        lambda fp: analysis.write_histogram_csv(rep, fp))}
 
 
 def _exp_timing_fix(params, args, seed):
@@ -270,7 +265,7 @@ def _exp_timing_fix(params, args, seed):
             ["after", f"{fix.delay_after:.6e}",
              f"{fix.after.setup_slack:.6e}", f"{fix.after.hold_slack:.6e}",
              "+".join(fix.after.violations) or "none", int(ok)]]
-    return {f"timing_fix_{scenario}.csv": rows}
+    return {f"timing_fix_{scenario}.csv": _rows_csv(rows)}
 
 
 EXPERIMENTS = {
@@ -322,17 +317,14 @@ def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
         if kwargs["scenario"] not in ("setup", "hold"):
             raise CliError("timing-fix takes 'setup' or 'hold'", EXIT_VALIDATION)
     tables = EXPERIMENTS[name](params, kwargs, seed)
-    for fname, rows in tables.items():
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        _write_text(os.path.join(out, fname), buf.getvalue(),
+    for fname, text in tables.items():
+        _write_text(os.path.join(out, fname), text,
                     not no_header, f"experiments {name}")
     _write_manifest(out, {"command": "experiments", "name": name,
                           "args": list(args), "trials": trials,
                           "sigma_local": sigma_local,
                           "sigma_global": sigma_global, "sigma_k": sigma_k,
-                          "vdd": vdd, "delta": delta, "seed": seed},
-                    not no_header)
+                          "vdd": vdd, "delta": delta, "seed": seed})
     click.echo(f"{name} -> {', '.join(os.path.join(out, f) for f in tables)}")
 
 
@@ -369,7 +361,7 @@ def cmd_map(blif, k, seed, out, no_header):
     _write_text(os.path.join(out, "equivalence.txt"),
                 "\n".join(equiv_lines) + "\n", False, "map")
     _write_manifest(out, {"command": "map", "blif": os.path.abspath(blif),
-                          "k": k, "seed": seed}, not no_header)
+                          "k": k, "seed": seed})
     status = "PASS" if report.equivalent else "FAIL"
     click.echo(f"{len(design.instances)} replacements, equivalence {status} "
                f"-> {out}/mapped.blif")

@@ -32,29 +32,6 @@ class Gate:
             m |= values[net] << i
         return self.table.value(m)
 
-    def kind(self) -> str:
-        """Coarse primitive class for the cost model."""
-        n = self.fanin
-        bits = self.table.bits
-        size = 1 << n
-        full = (1 << size) - 1
-        if n == 1:
-            return "inv" if bits == 0b01 else "buf"
-        if bits == 1 << (size - 1):
-            return "and"
-        if bits == full ^ (1 << (size - 1)):
-            return "nand"
-        if bits == full ^ 1:
-            return "or"
-        if bits == 1:
-            return "nor"
-        parity = sum((bits >> m) & 1 for m in range(size))
-        if all(((bits >> m) & 1) == (bin(m).count("1") & 1) for m in range(size)):
-            return "xor"
-        if all(((bits >> m) & 1) == 1 - (bin(m).count("1") & 1) for m in range(size)):
-            return "xnor"
-        return "generic"
-
 
 @dataclass
 class Latch:
@@ -71,9 +48,6 @@ class Netlist:
     outputs: list[str] = field(default_factory=list)
     gates: dict[str, Gate] = field(default_factory=dict)  # keyed by output net
     latches: dict[str, Latch] = field(default_factory=dict)  # keyed by q net
-
-    def drivers(self) -> set[str]:
-        return set(self.inputs) | set(self.gates) | set(self.latches)
 
     def validate(self) -> None:
         driven = list(self.inputs) + list(self.gates) + list(self.latches)
@@ -122,18 +96,6 @@ class Netlist:
                     if dep in self.gates and state.get(dep) != 1:
                         stack.append((dep, False))
         return order
-
-    def fanouts(self) -> dict[str, list[str]]:
-        """net -> consumer labels (gate output nets, 'latch:<q>', 'po')."""
-        out: dict[str, list[str]] = {}
-        for g in self.gates.values():
-            for net in g.inputs:
-                out.setdefault(net, []).append(g.output)
-        for l in self.latches.values():
-            out.setdefault(l.d, []).append(f"latch:{l.q}")
-        for net in self.outputs:
-            out.setdefault(net, []).append("po")
-        return out
 
     def eval_comb(self, pi_values: dict[str, int],
                   state: dict[str, int]) -> dict[str, int]:

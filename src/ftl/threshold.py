@@ -224,15 +224,3 @@ def f115_table() -> TruthTable:
             bits |= 1 << m
     return TruthTable(5, bits)
 
-
-def trivial_tables() -> dict[str, TruthTable]:
-    """Small named tables used across tests and experiments."""
-    return {
-        "and2": TruthTable(2, 0x8),
-        "or2": TruthTable(2, 0xE),
-        "xor2": TruthTable(2, 0x6),
-        "nor2": TruthTable(2, 0x1),
-        "maj3": TruthTable(3, 0xE8),
-        "xor3": TruthTable(3, 0x96),
-        "f115": f115_table(),
-    }

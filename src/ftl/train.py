@@ -13,30 +13,41 @@ five inputs) and the loop then cycles forever.
 
 Correctness flows solely through the device-model oracle; the weight
 vector of the target function is never consulted during updates.
+
+Every attempt stops for one of three reasons, reported as
+TrainResult.stop_reason:
+
+- "converged": an epoch made no update, and the cell re-verifies;
+- "cycle": an epoch starts from a (vt, v_left, v_right) state already
+  seen at an earlier epoch start.  Training is deterministic, so the
+  attempt would repeat that stretch forever and can never converge
+  (the perceptron cycling theorem, Block & Levin 1970, says this is
+  how a perceptron on non-separable data behaves);
+- "bound": the kmax iteration bound (or max_iterations) ran out.  Float
+  steps need not land on a finite grid, so this stays as a safety net.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .device import DeviceParams, FtlCell, evaluate, verify_cell
 from .truthtable import TruthTable
 
 
 class TrainingError(Exception):
-    """Raised when no side assignment converges (non-threshold input)."""
+    """Raised when no side assignment converges (non-threshold input), or
+    when a converged cell fails its re-verification."""
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     delta: float | None = None  # defaults to params.delta
-    init_vt: float | None = None  # defaults to vdd / 2
     active_side: str = "auto"  # "left" | "right" | "auto"
     max_iterations: int | None = None  # overrides the kmax bound
     handicap_margin: float = 0.0  # siemens
-    seed: int = 0  # reserved; training is deterministic
     record_trace: bool = False
 
     def __post_init__(self):
@@ -65,6 +76,7 @@ class TrainResult:
     epochs: int
     active_side: str
     trace: list[TraceEntry] = field(default_factory=list)
+    stop_reason: str = "converged"  # "converged" | "cycle" | "bound"
 
 
 def kmax_bound(n: int, delta: float, vdd: float) -> int:
@@ -102,17 +114,24 @@ def _train_from(
     trace: list[TraceEntry] = []
     iterations = 0
     epochs = 0
-    converged = False
+    seen: set[tuple] = set()
 
     def record(minterm, device, old, new, reason):
         if config.record_trace and new != old:
             trace.append(TraceEntry(iterations, epochs, minterm, device,
                                     old, new, reason))
 
+    def stop(reason):
+        return TrainResult(FtlCell(tt.n, tuple(vt), vl, vr, p), False,
+                           iterations, epochs, side, trace, reason)
+
     while True:
+        state = (tuple(vt), vl, vr)
+        if state in seen:
+            return stop("cycle")
+        seen.add(state)
         epochs += 1
         clean = True
-        state_before = (tuple(vt), vl, vr)
         for m in range(tt.size):
             want = tt.value(m)
             r = evaluate(
@@ -150,32 +169,24 @@ def _train_from(
                     record(m, "vr", vr, new, "fallback_vr")
                     vr = new
             if iterations > bound:
-                return TrainResult(FtlCell(tt.n, tuple(vt), vl, vr, p),
-                                   False, iterations, epochs, side, trace)
+                return stop("bound")
         if clean:
-            converged = True
             break
-        if (tuple(vt), vl, vr) == state_before:
-            # Incorrect responses but every update clamped to a no-op: the
-            # deterministic epoch would repeat verbatim, so bail out now.
-            return TrainResult(FtlCell(tt.n, tuple(vt), vl, vr, p),
-                               False, iterations, epochs, side, trace)
 
     out = FtlCell(tt.n, tuple(vt), vl, vr, p)
     # Convergence certificate, independent of the training loop.
-    assert verify_cell(out, tt, h), "converged cell failed re-verification"
-    return TrainResult(out, converged, iterations, epochs, side, trace)
+    if not verify_cell(out, tt, h):
+        raise TrainingError("converged cell failed re-verification")
+    return TrainResult(out, True, iterations, epochs, side, trace)
 
 
 def train(
     tt: TruthTable,
     params: DeviceParams | None = None,
     config: TrainConfig | None = None,
-    weights_hint=None,
 ) -> TrainResult:
     """Train a cell to realize tt (which should be a positive-unate
-    threshold function; non-threshold inputs come back unconverged).
-    weights_hint is advisory only and never read during updates."""
+    threshold function; non-threshold inputs come back unconverged)."""
     params = params or DeviceParams()
     config = config or TrainConfig()
     sides = [config.active_side] if config.active_side != "auto" else ["right", "left"]
@@ -183,62 +194,14 @@ def train(
     # dead-end from the midpoint start: the inputs saturate at vt_min before
     # the side device wins the race, leaving an incorrect fixed point.  A
     # weaker-input start (higher init Vt) avoids it, so retry up the ladder.
-    if config.init_vt is not None:
-        inits = [config.init_vt]
-    else:
-        inits = [params.vdd / 2, round(params.vdd * 7 / 9, 6)]
     result = None
-    for init_vt in inits:
+    for init_vt in (params.vdd / 2, round(params.vdd * 7 / 9, 6)):
         for side in sides:
             cell = FtlCell.fresh(tt.n, params, init_vt, side)
             result = _train_from(cell, tt, config, side)
             if result.converged:
                 return result
     return result
-
-
-def select_active_side(
-    tt: TruthTable,
-    params: DeviceParams | None = None,
-    config: TrainConfig | None = None,
-) -> str:
-    """Right side first (left parked at vdd); fall back to left."""
-    params = params or DeviceParams()
-    config = config or TrainConfig()
-    r = train(tt, params, replace(config, handicap_margin=0.0,
-                                  active_side="auto"))
-    if r is not None and r.converged:
-        return r.active_side
-    raise TrainingError("neither side converged; not a threshold function")
-
-
-def train_robust(
-    tt: TruthTable,
-    params: DeviceParams | None = None,
-    config: TrainConfig | None = None,
-    margin_step: float = 0.02,
-    max_margin: float = 0.10,
-) -> tuple[TrainResult, float]:
-    """Progressively retrain at margins 0, step, 2*step, ... <= max_margin,
-    warm-starting each level; returns the result for the largest margin
-    that converged, plus that margin."""
-    if margin_step <= 0:
-        raise ValueError("margin_step must be positive")
-    params = params or DeviceParams()
-    config = config or TrainConfig()
-    base = train(tt, params, replace(config, handicap_margin=0.0))
-    if not base.converged:
-        raise TrainingError("base (margin 0) training failed")
-    best, achieved = base, 0.0
-    level = margin_step
-    while level <= max_margin + 1e-15:
-        cfg = replace(config, handicap_margin=level, active_side=best.active_side)
-        r = _train_from(best.cell, tt, cfg, best.active_side)
-        if not r.converged:
-            break
-        best, achieved = r, level
-        level += margin_step
-    return best, achieved
 
 
 def write_trace_csv(trace: list[TraceEntry], fp) -> None:

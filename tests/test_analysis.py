@@ -134,12 +134,14 @@ def test_margin_schedule_monotone(f115_levels):
 def test_retune_faster_and_slower(f115_levels):
     baseline = f115_levels[0].result.cell
     d0 = worst_case_delay(baseline, F115)
-    fast = retune_delay(baseline, F115, target=d0 * 0.6, direction="faster")
+    fast = retune_delay(baseline, F115, target=d0 * 0.6, direction="faster",
+                        levels=f115_levels)
     assert worst_case_delay(fast, F115) <= d0 * 0.6
     assert verify_cell(fast, F115)
     quick = f115_levels[-1].result.cell
     d1 = worst_case_delay(quick, F115)
-    slow = retune_delay(quick, F115, target=d1 * 1.5, direction="slower")
+    slow = retune_delay(quick, F115, target=d1 * 1.5, direction="slower",
+                        levels=f115_levels)
     assert worst_case_delay(slow, F115) >= d1 * 1.5
     assert verify_cell(slow, F115)
 
@@ -147,14 +149,16 @@ def test_retune_faster_and_slower(f115_levels):
 def test_retune_current_delay_is_satisfiable(f115_levels):
     cell = f115_levels[0].result.cell
     d0 = worst_case_delay(cell, F115)
-    out = retune_delay(cell, F115, target=d0, direction="faster")
+    out = retune_delay(cell, F115, target=d0, direction="faster",
+                       levels=f115_levels)
     assert worst_case_delay(out, F115) <= d0
 
 
 def test_retune_unreachable_reports_closest(f115_levels):
     cell = f115_levels[0].result.cell
     with pytest.raises(RetuneError) as ei:
-        retune_delay(cell, F115, target=1e-15, direction="faster")
+        retune_delay(cell, F115, target=1e-15, direction="faster",
+                     levels=f115_levels)
     assert ei.value.closest_delay > 1e-15
 
 

@@ -62,12 +62,20 @@ def test_train_bad_spec(runner, tmp_path):
     assert r.exit_code == 2
 
 
-def test_train_robust_f115(runner, tmp_path):
+def test_robust_flag_f115(runner, tmp_path):
     r = runner.invoke(main, ["train", "f115", "--robust", "--out",
                              str(tmp_path), "--no-header"])
     assert r.exit_code == 0, r.output
     doc = json.loads(read(tmp_path / "cell.json"))
-    assert doc["achieved_margin"] > 0
+    # --robust keeps the top level of the margin schedule.
+    assert doc["achieved_margin"] == 0.2
+
+
+def test_robust_zero_margin_step_rejected(runner, tmp_path):
+    r = runner.invoke(main, ["train", "hex:8:2", "--robust", "--margin-step",
+                             "0", "--out", str(tmp_path)])
+    assert r.exit_code == 2
+    assert "margin_step must be positive" in r.output
 
 
 def test_unknown_experiment(runner, tmp_path):

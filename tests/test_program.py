@@ -4,13 +4,14 @@ import io
 
 import pytest
 
+from ftl.analysis import margin_schedule
 from ftl.device import DeviceParams, verify_cell
 from ftl.program import (ArrayConfig, ChipAddress, ProgrammerConfig,
                          apply_schedule, decode_address, encode_address,
                          erase_block, plan_program, program_cell,
                          write_schedule_csv)
 from ftl.threshold import build_catalog, f115_table
-from ftl.train import TrainConfig, train, train_robust
+from ftl.train import train
 from ftl.truthtable import parse_truth_table, to_positive_form
 
 CFG = ProgrammerConfig()
@@ -95,18 +96,16 @@ def test_program_round_trip():
 
 def test_quantized_robust_f115_still_verifies():
     tt = f115_table()
-    result, _ = train_robust(tt, config=TrainConfig(delta=0.005),
-                             margin_step=0.04, max_margin=0.2)
-    quantized = program_cell(result.cell, CFG)
+    top = margin_schedule(tt, margin_step=0.04, max_margin=0.2)[-1]
+    quantized = program_cell(top.result.cell, CFG)
     assert verify_cell(quantized, tt)
 
 
 def test_quantized_catalog_functions_verify():
     for e in build_catalog(3):
         positive, _ = to_positive_form(e.table)
-        result, _ = train_robust(positive, config=TrainConfig(delta=0.005),
-                                 margin_step=0.04, max_margin=0.2)
-        quantized = program_cell(result.cell, CFG)
+        top = margin_schedule(positive, margin_step=0.04, max_margin=0.2)[-1]
+        quantized = program_cell(top.result.cell, CFG)
         assert verify_cell(quantized, positive), e.index
 
 

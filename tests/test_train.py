@@ -2,15 +2,17 @@
 
 import io
 import math
+import sys
 
 import pytest
 
+from ftl.analysis import margin_schedule
 from ftl.device import DeviceParams, evaluate, verify_cell
-from ftl.threshold import build_catalog, f115_table
-from ftl.train import (TrainConfig, TrainingError, kmax_bound,
-                       select_active_side, train, train_robust,
-                       write_trace_csv)
-from ftl.truthtable import parse_truth_table, to_positive_form
+from ftl.threshold import build_catalog, check_threshold, f115_table
+from ftl.train import (TrainConfig, TrainingError, _train_from, kmax_bound,
+                       train, write_trace_csv)
+from ftl.truthtable import (Polarity, TruthTable, parse_truth_table,
+                            to_positive_form, unateness)
 
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
@@ -36,24 +38,62 @@ def test_and2_converges_and_verifies():
 
 
 def test_xor2_does_not_converge():
-    result = train(XOR2, config=TrainConfig(active_side="right"))
+    cfg = TrainConfig(active_side="right")
+    result = train(XOR2, config=cfg)
     assert not result.converged
-    assert result.iterations > kmax_bound(2, 0.02, 0.9)
+    assert result.stop_reason == "cycle"
+    # The reported cell is the repeated state: replaying from it comes
+    # back to it.
+    again = _train_from(result.cell, XOR2, cfg, "right")
+    assert again.cell == result.cell
+    assert again.stop_reason == "cycle"
 
 
 def test_select_active_side_and2_is_right():
-    assert select_active_side(AND2) == "right"
+    # Side selection lives in train's auto mode: right side first.
+    result = train(AND2)
+    assert result.active_side == "right"
+    assert result.stop_reason == "converged"
 
 
 def test_select_active_side_xor_raises():
+    # Neither side converges for XOR2, so the ladder's margin-0 level fails.
+    result = train(XOR2)
+    assert not result.converged
+    assert result.stop_reason == "cycle"
     with pytest.raises(TrainingError):
-        select_active_side(XOR2)
+        margin_schedule(XOR2)
 
 
 def test_auto_side_reported():
     result = train(AND2)
     assert result.active_side in ("left", "right")
-    assert result.active_side == select_active_side(AND2)
+    assert result.converged
+
+
+def test_every_attempt_stops_for_a_proven_reason():
+    """Over every 2- and 3-input table, training converges exactly on the
+    positive-unate threshold functions, and every other attempt ends on a
+    repeated state rather than at the iteration bound."""
+    for n in (2, 3):
+        for bits in range(1 << (1 << n)):
+            tt = TruthTable(n, bits)
+            positive = all(p in (Polarity.POSITIVE, Polarity.UNUSED)
+                           for p in unateness(tt))
+            expect = positive and check_threshold(tt) is not None
+            result = train(tt)
+            assert result.converged == expect, (n, bits)
+            if not result.converged:
+                assert result.stop_reason == "cycle", (n, bits)
+
+
+def test_failed_certificate_raises(monkeypatch):
+    # ftl.train resolves to the train function in the package namespace,
+    # so patch the module object itself.
+    monkeypatch.setattr(sys.modules["ftl.train"], "verify_cell",
+                        lambda *args: False)
+    with pytest.raises(TrainingError):
+        train(AND2)
 
 
 def test_update_rule_fidelity():
@@ -107,29 +147,28 @@ def test_handicap_margin_enforced():
 
 
 def test_robust_empty_schedule_returns_baseline():
-    result, achieved = train_robust(AND2, margin_step=0.5, max_margin=0.1)
-    assert achieved == 0.0
-    assert result.converged
-    assert verify_cell(result.cell, AND2)
+    top = margin_schedule(AND2, margin_step=0.5, max_margin=0.1)[-1]
+    assert top.margin == 0.0
+    assert top.result.converged
+    assert verify_cell(top.result.cell, AND2)
 
 
 def test_robust_margin_grows_min_gap():
     tt = f115_table()
     params = DeviceParams()
-    cfg = TrainConfig(delta=0.005)
-    base, a0 = train_robust(tt, params, cfg, margin_step=1.0, max_margin=0.5)
-    robust, a1 = train_robust(tt, params, cfg, margin_step=0.04,
-                              max_margin=0.2)
-    assert a0 == 0.0 and a1 > 0.0
+    base = margin_schedule(tt, params, margin_step=1.0, max_margin=0.5)[-1]
+    robust = margin_schedule(tt, params, margin_step=0.04,
+                             max_margin=0.2)[-1]
+    assert base.margin == 0.0 and robust.margin > 0.0
     def min_gap(cell):
         return min(abs(evaluate(cell, m).gap) for m in range(32))
-    assert min_gap(robust.cell) > min_gap(base.cell)
-    assert verify_cell(robust.cell, tt)
+    assert min_gap(robust.result.cell) > min_gap(base.result.cell)
+    assert verify_cell(robust.result.cell, tt)
 
 
 def test_robust_fails_only_for_nonthreshold():
     with pytest.raises(TrainingError):
-        train_robust(XOR2)
+        margin_schedule(XOR2)
 
 
 def test_f115_v1_strictly_smallest():
@@ -142,6 +181,7 @@ def test_max_iterations_override():
     result = train(f115_table(), config=TrainConfig(max_iterations=3))
     assert not result.converged
     assert result.iterations <= 4
+    assert result.stop_reason == "bound"
 
 
 def test_catalog_sample_converges():
