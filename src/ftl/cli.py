@@ -330,7 +330,7 @@ def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
 
 @main.command("map")
 @click.argument("blif", type=click.Path())
-@click.option("--k", default=5, show_default=True)
+@click.option("--k", default=5, show_default=True, type=click.IntRange(1, 5))
 @seed_option
 @out_option
 @no_header_option

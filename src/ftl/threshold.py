@@ -2,10 +2,12 @@
 NP-class catalog of small threshold functions.
 
 A function f is threshold iff integer weights W and a threshold T exist
-with f(m) = 1 <=> sum(w_i * m_i) >= T.  The solver searches nonnegative
-weights on the positive-unate form ordered by increasing weight sum, so
-the first hit is the minimum-sum solution; ties break lexicographically
-on the weight vector, then on the smallest T.
+with f(m) = 1 <=> sum(w_i * m_i) >= T.  With its inputs sorted by Chow
+parameter, a positive threshold function has a minimum-sum realization with
+non-increasing weights (Chow 1961; Muroga 1971), so one table of what those
+vectors realize decides detection exactly and feeds the catalog.  The
+weights are then searched at that sum in the original input order; ties
+break lexicographically on the weight vector, then on the smallest T.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .truthtable import (
     Polarity,
     TruthTable,
-    apply_complements,
     permute_inputs,
     project_to_support,
     to_positive_form,
@@ -29,6 +30,7 @@ from .truthtable import (
 
 DEFAULT_WEIGHT_BOUND = 16
 _SOLVER_MAX_INPUTS = 6
+_CHUNK = 1 << 15  # weight vectors scored per numpy batch
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,30 @@ def _compositions(total: int, parts: int, bound: int):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=8)
+def _sorted_tables(n: int, bound: int) -> dict[int, int]:
+    """{non-constant positive table: smallest weight sum} over the
+    non-increasing weight vectors in [0, bound]^n.  Shared: never mutate.
+    Vectors are scored a chunk at a time in the narrowest dtype (no partial
+    sum of nonnegative weights overflows) and each row packs to one key."""
+    dtype = np.min_scalar_type(bound * n)
+    mm = _minterm_matrix(n).astype(dtype)
+    best: dict[int, int] = {}
+    vectors = itertools.combinations_with_replacement(range(bound, -1, -1), n)
+    while chunk := list(itertools.islice(vectors, _CHUNK)):
+        w = np.asarray(chunk, dtype=dtype)
+        w = w[np.argsort(w.sum(axis=1, dtype=np.int64))]
+        sums, scores = w.sum(axis=1, dtype=np.int64), w @ mm.T
+        for t in range(1, int(scores.max()) + 1):
+            packed = np.packbits(scores >= t, axis=1, bitorder="little")
+            keys = packed.view(f"<u{packed.shape[1]}")[:, 0]
+            tables, first = np.unique(keys, return_index=True)
+            for bits, total in zip(tables.tolist(), sums[first].tolist()):
+                if bits and total < best.get(bits, total + 1):
+                    best[bits] = total
+    return best
+
+
 def check_threshold(
     tt: TruthTable, weight_bound: int = DEFAULT_WEIGHT_BOUND
 ) -> ThresholdFunction | None:
@@ -77,42 +103,35 @@ def check_threshold(
     if weight_bound < 1:
         raise ValueError("weight_bound must be >= 1")
 
-    pol = unateness(tt)
-    if any(p is Polarity.NONUNATE for p in pol):
+    if Polarity.NONUNATE in unateness(tt):
         return None
     pos, mask = to_positive_form(tt)
+    if pos.is_constant():  # all weights 0; T = 0 passes every minterm, T = 1 none
+        return ThresholdFunction((0,) * tt.n, 1 - pos.value(0))
 
-    if pos.bits == 0:
-        return ThresholdFunction((0,) * tt.n, 1)
-    if pos.bits == (1 << pos.size) - 1:
-        return ThresholdFunction((0,) * tt.n, 0)
+    reduced, used = project_to_support(pos)
+    chow = [sum(m >> i & 1 for m in reduced.onset()) for i in range(reduced.n)]
+    order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
+    key = permute_inputs(reduced, order).bits
+    total = _sorted_tables(reduced.n, weight_bound).get(key)
+    if total is None:
+        return None
 
-    used = [i for i, p in enumerate(pol) if p is not Polarity.UNUSED]
-    mm = _minterm_matrix(pos.n)[:, used]
-    on = np.array([bool(pos.value(m)) for m in range(pos.size)])
-
-    for total in range(1, weight_bound * len(used) + 1):
-        batch = list(_compositions(total, len(used), weight_bound))
-        if not batch:
-            continue
+    mm = _minterm_matrix(reduced.n)
+    on = np.array([bool(reduced.value(m)) for m in range(reduced.size)])
+    compositions = _compositions(total, reduced.n, weight_bound)
+    while batch := list(itertools.islice(compositions, _CHUNK)):
         scores = np.asarray(batch, dtype=np.int64) @ mm.T
-        min_on = scores[:, on].min(axis=1)
         max_off = scores[:, ~on].max(axis=1)
-        feasible = np.flatnonzero(min_on > max_off)
+        feasible = np.flatnonzero(scores[:, on].min(axis=1) > max_off)
         if feasible.size:
-            w_used = batch[int(feasible[0])]
-            t_pos = int(max_off[feasible[0]]) + 1
-            weights = [0] * tt.n
-            for i, w in zip(used, w_used):
-                weights[i] = w
             # Map back through the complement mask: x_i -> 1 - x_i
-            t = t_pos
-            for i in range(tt.n):
-                if (mask >> i) & 1:
-                    t -= weights[i]
-                    weights[i] = -weights[i]
+            weights = [0] * tt.n
+            for i, w in zip(used, batch[int(feasible[0])]):
+                weights[i] = -w if (mask >> i) & 1 else w
+            t = int(max_off[feasible[0]]) + 1 + sum(min(w, 0) for w in weights)
             return ThresholdFunction(tuple(weights), t)
-    return None
+    raise RuntimeError(f"{tt} has no weight-sum {total} realization")
 
 
 def count_threshold_functions(n: int, weight_bound: int = DEFAULT_WEIGHT_BOUND) -> int:
@@ -165,43 +184,23 @@ class CatalogEntry:
         return self.table.to_hex()
 
 
-def _enumerate_threshold_tables(n: int, weight_bound: int) -> set[int]:
-    """All positive-unate threshold tables on n inputs reachable with
-    non-increasing weights <= weight_bound (a superset of one member per
-    permutation class)."""
-    mm = _minterm_matrix(n)
-    pow2 = np.int64(1) << np.arange(1 << n, dtype=np.int64)
-    tables: set[int] = set()
-    for w in itertools.combinations_with_replacement(
-        range(weight_bound, -1, -1), n
-    ):
-        scores = mm @ np.asarray(w, dtype=np.int64)
-        for t in np.unique(scores):
-            tables.add(int(((scores >= t) * pow2).sum()))
-    return tables
-
-
 def build_catalog(
     n_max: int = 5, weight_bound: int = DEFAULT_WEIGHT_BOUND
 ) -> list[CatalogEntry]:
     """One entry per NP-equivalence class of non-constant threshold
     functions of at most n_max variables, with minimal weights, sorted by
     (input count, canonical table) and indexed from 0."""
-    if n_max > 5:
-        raise ValueError("catalog limited to n_max <= 5")
-    canon: set[tuple[int, int]] = set()
-    full = TruthTable(n_max, (1 << (1 << n_max)) - 1).bits
-    for bits in _enumerate_threshold_tables(n_max, weight_bound):
-        if bits == 0 or bits == full:
-            continue
-        reduced, _ = project_to_support(TruthTable(n_max, bits))
-        rep = canonicalize_np(reduced)
-        canon.add((rep.n, rep.bits))
+    if not 1 <= n_max <= 5:
+        raise ValueError(f"catalog limited to 1 <= n_max <= 5, got {n_max}")
+    reps = (canonicalize_np(project_to_support(TruthTable(n_max, bits))[0])
+            for bits in _sorted_tables(n_max, weight_bound))
+    canon = {(rep.n, rep.bits) for rep in reps}
     entries = []
     for idx, (n, bits) in enumerate(sorted(canon)):
         tt = TruthTable(n, bits)
         tf = check_threshold(tt, weight_bound)
-        assert tf is not None, f"catalog table {tt} lost its realization"
+        if tf is None:
+            raise RuntimeError(f"catalog table {tt} lost its realization")
         entries.append(CatalogEntry(idx, n, tt, tf))
     return entries
 

@@ -124,6 +124,33 @@ def test_map_malformed_blif(runner, tmp_path):
     assert r.exit_code == 2
 
 
+# a * (b + c + d + e + f): a 6-input threshold cone in four gates
+SIX_INPUT_CONE = """.model six
+.inputs a b c d e f
+.outputs q
+.names b c t1
+00 0
+.names d e t2
+00 0
+.names t1 t2 f o
+000 0
+.names a o y
+11 1
+.latch y q re clk 0
+.end
+"""
+
+
+@pytest.mark.parametrize("k", ["6", "0"])
+def test_map_k_out_of_range(runner, tmp_path, k):
+    blif = tmp_path / "six.blif"
+    blif.write_text(SIX_INPUT_CONE)
+    r = runner.invoke(main, ["map", str(blif), "--k", k, "--out",
+                             str(tmp_path)])
+    assert r.exit_code == 2
+    assert "--k" in r.output
+
+
 def test_map_missing_file(runner, tmp_path):
     r = runner.invoke(main, ["map", str(tmp_path / "nope.blif"), "--out",
                              str(tmp_path)])

@@ -4,8 +4,10 @@ import io
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from ftl import threshold
 from ftl.threshold import (ThresholdFunction, build_catalog, canonicalize_np,
                            check_threshold, count_threshold_functions,
                            f115_table, write_catalog_csv)
@@ -165,3 +167,74 @@ def test_catalog_csv_shape():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "index,n,canonical_hex,weights,threshold"
     assert len(lines) == 4
+
+
+def reference_threshold(tt, bound=16):
+    """The composition walk the solver must agree with, over signed weights:
+    magnitudes in ascending (sum, lexicographic) order, first hit wins,
+    threshold = largest offset score + 1 (the smallest onset score for a
+    constant-1 table)."""
+    n = tt.n
+    mags = sorted(itertools.product(range(bound + 1), repeat=n),
+                  key=lambda v: (sum(v), v))
+    mags = np.asarray(mags, dtype=np.int64)
+    minterms = np.asarray([[(m >> i) & 1 for i in range(n)]
+                           for m in range(tt.size)], dtype=np.int64)
+    on = np.asarray([bool(tt.value(m)) for m in range(tt.size)])
+    best = None
+    for signs in itertools.product((1, -1), repeat=n):
+        scores = (mags * np.asarray(signs)) @ minterms.T
+        min_on = scores[:, on].min(axis=1, initial=1 << 20)
+        max_off = scores[:, ~on].max(axis=1, initial=-(1 << 20))
+        hits = np.flatnonzero(min_on > max_off)
+        if hits.size and (best is None or hits[0] < best[0]):
+            i = int(hits[0])
+            t = int(max_off[i]) + 1 if (~on).any() else int(min_on[i])
+            best = (i, tuple(int(s * w) for s, w in zip(signs, mags[i])), t)
+    return None if best is None else ThresholdFunction(best[1], best[2])
+
+
+def test_matches_reference_walk_every_table_n_le_3():
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            tt = TruthTable(n, bits)
+            assert check_threshold(tt) == reference_threshold(tt), tt
+
+
+def test_count_n4():
+    assert count_threshold_functions(4) == 1882
+
+
+def table6(f):
+    return TruthTable(6, sum(1 << m for m in range(64)
+                             if f([(m >> i) & 1 for i in range(6)])))
+
+
+def test_six_inputs():
+    cone = check_threshold(table6(lambda x: x[0] and any(x[1:])))
+    assert (cone.weights, cone.threshold) == ((5, 1, 1, 1, 1, 1), 6)
+    at_least_4 = check_threshold(table6(lambda x: sum(x) >= 4))
+    assert (at_least_4.weights, at_least_4.threshold) == ((1,) * 6, 4)
+    assert check_threshold(
+        table6(lambda x: x[0] & x[1] | x[2] & x[3] | x[4] & x[5])) is None
+
+
+def test_catalog_entries_survive_np_transforms():
+    """Every permuted and complemented copy of a catalog class is realized
+    with the class's weight sum."""
+    rng = random.Random(3)
+    for e in build_catalog(5):
+        total = sum(abs(w) for w in e.function.weights)
+        for _ in range(3):
+            perm = tuple(rng.sample(range(e.n), e.n))
+            tt = apply_complements(permute_inputs(e.table, perm),
+                                   rng.getrandbits(e.n))
+            tf = check_threshold(tt)
+            assert tf is not None and tf.realizes(tt), (e.index, tt)
+            assert sum(abs(w) for w in tf.weights) == total, (e.index, tt)
+
+
+def test_catalog_lost_realization_raises(monkeypatch):
+    monkeypatch.setattr(threshold, "check_threshold", lambda *args: None)
+    with pytest.raises(RuntimeError, match="lost its realization"):
+        build_catalog(2)
