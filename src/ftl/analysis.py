@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .device import (
     DeviceParams,
     FtlCell,
-    evaluate,
+    conductances,
+    minterm_checks,
     model_power,
     sample_variation,
     verify_cell,
@@ -53,36 +54,28 @@ class YieldReport:
     rows: list[tuple[int, bool, float]]  # (trial, pass, worst_delay)
 
 
+YIELD_BLOCK = 4096  # trials per kernel call; 1 MB per array at n = 5
+
+
 def yield_mc(cell: FtlCell, tt: TruthTable, mc: McConfig) -> YieldReport:
     """One variation sample per trial; a trial passes iff every minterm
     matches tt with no metastable flag.  Per-trial delay is the max
     finite evaluate delay (worst-case C2Q).  Deterministic given seed."""
-    passing_delays = []
-    fail_tally: dict[int, int] = {}
+    fail_counts = np.zeros(tt.size, dtype=np.int64)
     rows = []
-    passing = 0
-    for trial in range(mc.trials):
-        s = sample_variation(cell.n, mc.sigma_local, mc.sigma_global,
-                             mc.sigma_k, mc.seed, trial)
-        ok = True
-        worst = 0.0
-        for m in range(tt.size):
-            r = evaluate(cell, m, 0.0, s)
-            if r.metastable or r.y != tt.value(m):
-                ok = False
-                fail_tally[m] = fail_tally.get(m, 0) + 1
-            elif math.isfinite(r.delay):
-                worst = max(worst, r.delay)
-        if ok:
-            passing += 1
-            passing_delays.append(worst)
-            rows.append((trial, True, worst))
-        else:
-            rows.append((trial, False, math.nan))
-    if passing_delays:
-        counts, edges = np.histogram(passing_delays, bins=mc.hist_bins)
-    else:
-        counts, edges = np.zeros(mc.hist_bins, dtype=int), np.linspace(0, 1, mc.hist_bins + 1)
+    for start in range(0, mc.trials, YIELD_BLOCK):
+        trials = range(start, min(start + YIELD_BLOCK, mc.trials))
+        samples = (sample_variation(cell.n, mc.sigma_local, mc.sigma_global,
+                                    mc.sigma_k, mc.seed, t) for t in trials)
+        miss, worst = minterm_checks(cell, tt, samples)
+        fail_counts += miss.sum(axis=0)
+        rows += [(t, False, math.nan) if bad else (t, True, w)
+                 for t, bad, w in zip(trials, miss.any(axis=1), worst)]
+    passing_delays = [w for _, ok, w in rows if ok]
+    # With no passing trial, numpy's bins span [0, 1] and count nothing.
+    counts, edges = np.histogram(passing_delays, bins=mc.hist_bins)
+    passing = len(passing_delays)
+    fail_tally = {m: int(c) for m, c in enumerate(fail_counts) if c}
     return YieldReport(mc.trials, passing, passing / mc.trials,
                        edges, counts, fail_tally, rows)
 
@@ -108,18 +101,13 @@ class ConductivityMap:
 
 def conductivity_map(cell: FtlCell, tt: TruthTable) -> ConductivityMap:
     """Nominal (no-variation) conductance pair of every minterm."""
-    records = []
-    on_sep = math.inf
-    off_sep = math.inf
-    for m in range(tt.size):
-        r = evaluate(cell, m)
-        onset = bool(tt.value(m))
-        records.append(ConductivityRecord(m, r.g_left, r.g_right, onset))
-        if onset:
-            on_sep = min(on_sep, r.g_left - r.g_right)
-        else:
-            off_sep = min(off_sep, r.g_right - r.g_left)
-    return ConductivityMap(records, on_sep, off_sep)
+    g_left, g_right = (g[0, :tt.size] for g in conductances(cell))
+    onset = np.array([tt.value(m) for m in range(tt.size)], dtype=bool)
+    records = [ConductivityRecord(m, float(gl), float(gr), bool(on))
+               for m, (gl, gr, on) in enumerate(zip(g_left, g_right, onset))]
+    on_sep = (g_left - g_right)[onset].min(initial=math.inf)
+    off_sep = (g_right - g_left)[~onset].min(initial=math.inf)
+    return ConductivityMap(records, float(on_sep), float(off_sep))
 
 
 def default_vgate_rule(vdd: float) -> float:

@@ -281,13 +281,14 @@ EXPERIMENTS = {
 @main.command("experiments")
 @click.argument("name")
 @click.argument("args", nargs=-1)
-@click.option("--trials", default=10000, show_default=True)
+@click.option("--trials", default=10000, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--sigma-local", default=analysis.McConfig.sigma_local,
-              show_default=True)
+              show_default=True, type=click.FloatRange(min=0))
 @click.option("--sigma-global", default=analysis.McConfig.sigma_global,
-              show_default=True)
+              show_default=True, type=click.FloatRange(min=0))
 @click.option("--sigma-k", default=analysis.McConfig.sigma_k,
-              show_default=True)
+              show_default=True, type=click.FloatRange(min=0))
 @vdd_option
 @delta_option
 @seed_option
@@ -296,18 +297,10 @@ EXPERIMENTS = {
 def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
                     vdd, delta, seed, out, no_header):
     """Run a named experiment: iterations | yield-sweep | conductivity |
-    vdd-sweep | delay-hist | timing-fix [setup|hold].
-
-    Set FTL_THREADS to cap internal parallelism (the current implementation
-    is single-threaded, so any value >= 1 is accepted).
-    """
+    vdd-sweep | delay-hist | timing-fix [setup|hold]."""
     if name not in EXPERIMENTS:
         raise CliError(f"unknown experiment {name!r}; choose from "
                        f"{', '.join(sorted(EXPERIMENTS))}", EXIT_VALIDATION)
-    threads = os.environ.get("FTL_THREADS", "1")
-    if not threads.isdigit() or int(threads) < 1:
-        raise CliError("FTL_THREADS must be a positive integer",
-                       EXIT_VALIDATION)
     _ensure_out(out)
     params = _device_params(vdd, delta)
     kwargs = {"trials": trials, "sigma_local": sigma_local,

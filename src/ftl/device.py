@@ -4,7 +4,8 @@ The cell is reduced to a conductance comparison: for a minterm, the left
 network sums the branch conductances of inputs at 1 plus the left side
 device, the right network sums inputs at 0 plus the right side device.
 The output is 1 when G_L wins; the sense-amp resolution time is modeled
-as tau0 + tau1 / |G_L - G_R|.
+as tau0 + tau1 / |G_L - G_R|.  Whole-table checks sum every minterm at
+once in the `conductances` kernel, adding devices in `evaluate`'s order.
 
 Branch conductance uses the alpha-power law g = k * max(0, Vgate - Vt)^alpha
 (alpha = 1.3), a stand-in for the saturation current of the flash device
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,9 +79,6 @@ class DeviceParams:
     @property
     def vt_max(self) -> float:
         return self.vdd - self.delta
-
-    def margin_for_capacitance(self, cap: float) -> float:
-        return self.kappa * cap
 
 
 def branch_conductance(vt_eff: float, params: DeviceParams) -> float:
@@ -148,9 +146,6 @@ class FtlCell:
             return cls(n, (v0,) * n, params.vdd, v0, params)
         return cls(n, (v0,) * n, v0, params.vdd, params)
 
-    def with_params(self, params: DeviceParams) -> "FtlCell":
-        return replace(self, params=params)
-
     def all_vt(self) -> tuple[float, ...]:
         return self.vt + (self.v_left, self.v_right)
 
@@ -190,6 +185,28 @@ class EvalResult:
     metastable: bool
 
 
+def _devices(cell: FtlCell, sample: VariationSample | None):
+    """Branch conductances (inputs, then the left and right side devices)
+    and k_mult under one variation sample.  An input's Vt shifts by
+    (global + local), a side device's by global and then local."""
+    p = cell.params
+    if sample is None:
+        return [branch_conductance(v, p) for v in cell.all_vt()], 1.0
+    if len(sample.local) != cell.n + 2:
+        raise ValueError("variation sample width mismatch")
+    g, local = sample.global_shift, sample.local
+    vts = [v + (g + dv) for v, dv in zip(cell.vt, local)]
+    vts += [cell.v_left + g + local[-2], cell.v_right + g + local[-1]]
+    return [branch_conductance(v, p) for v in vts], sample.k_mult
+
+
+def sense_delay(p: DeviceParams, gap: float) -> float:
+    """Sense-amp resolution time of a conductance gap (inf if metastable);
+    it never grows with |gap|, so the smallest |gap| has the worst delay."""
+    mag = abs(gap)
+    return math.inf if mag < METASTABLE_EPS else p.tau0 + p.tau1 / mag
+
+
 def evaluate(
     cell: FtlCell,
     minterm: int,
@@ -201,67 +218,67 @@ def evaluate(
     margin models a training-only capacitor and is excluded from delay."""
     if not 0 <= minterm < (1 << cell.n):
         raise ValueError(f"minterm {minterm} out of range for n={cell.n}")
-    p = cell.params
-    if sample is None:
-        local = None
-        gshift = 0.0
-        kmult = 1.0
-    else:
-        if len(sample.local) != cell.n + 2:
-            raise ValueError("variation sample width mismatch")
-        local = sample.local
-        gshift = sample.global_shift
-        kmult = sample.k_mult
-
+    g, kmult = _devices(cell, sample)
     g_left = g_right = 0.0
     for i in range(cell.n):
-        shift = gshift + (local[i] if local else 0.0)
-        g = branch_conductance(cell.vt[i] + shift, p)
         if (minterm >> i) & 1:
-            g_left += g
+            g_left += g[i]
         else:
-            g_right += g
-    g_left += branch_conductance(
-        cell.v_left + gshift + (local[cell.n] if local else 0.0), p)
-    g_right += branch_conductance(
-        cell.v_right + gshift + (local[cell.n + 1] if local else 0.0), p)
-    g_left *= kmult
-    g_right *= kmult
+            g_right += g[i]
+    g_left = (g_left + g[cell.n]) * kmult
+    g_right = (g_right + g[cell.n + 1]) * kmult
 
     gap = g_left - g_right
     metastable = abs(gap - margin) < METASTABLE_EPS
     y = 1 if gap > margin else 0
-    if abs(gap) < METASTABLE_EPS:
-        delay = math.inf
-    else:
-        delay = p.tau0 + p.tau1 / abs(gap)
-    return EvalResult(y, g_left, g_right, gap, delay, metastable)
+    return EvalResult(y, g_left, g_right, gap, sense_delay(cell.params, gap),
+                      metastable)
+
+
+def conductances(cell: FtlCell, samples=(None,)):
+    """(G_L, G_R) of every minterm under each variation sample (None is
+    nominal), shaped [len(samples), 2^n].  Devices are added in evaluate's
+    order and scaled by k_mult last, so every entry equals evaluate's."""
+    g, kmult = map(np.array, zip(*(_devices(cell, s) for s in samples)))
+    n = cell.n
+    inputs = np.zeros((len(g), 1 << n))  # summed inputs at 1, per minterm
+    for i in range(n):
+        on = ((np.arange(1 << n) >> i) & 1).astype(bool)
+        inputs += np.where(on, g[:, i:i + 1], 0.0)
+    # The inputs at 0 in m are the inputs at 1 in its complement, 2^n-1-m.
+    return ((inputs + g[:, n:n + 1]) * kmult[:, None],
+            (inputs[:, ::-1] + g[:, n + 1:]) * kmult[:, None])
+
+
+def minterm_checks(cell: FtlCell, tt: TruthTable, samples=(None,),
+                   margin: float = 0.0) -> tuple[np.ndarray, list[float]]:
+    """Per sample: which minterms miss tt under evaluate's margin rule or
+    are metastable, [len(samples), tt.size], and the worst-case delay."""
+    gap = np.subtract(*conductances(cell, samples))[:, :tt.size]
+    want = np.array([tt.value(m) for m in range(tt.size)], dtype=bool)
+    handicap = np.where(want, margin, -margin)
+    miss = (gap > handicap) != want
+    miss |= np.abs(gap - handicap) < METASTABLE_EPS
+    return miss, [sense_delay(cell.params, float(g))
+                  for g in np.abs(gap).min(axis=1)]
 
 
 def verify_cell(cell: FtlCell, tt: TruthTable, margin: float = 0.0) -> bool:
     """Exhaustive functional check: every on-set minterm must clear the
     margin and every off-set minterm must clear it on the other side."""
-    if tt.n != cell.n:
-        return False
-    for m in range(tt.size):
-        r = evaluate(cell, m, margin if tt.value(m) else -margin)
-        if r.metastable or r.y != tt.value(m):
-            return False
-    return True
+    return (tt.n == cell.n
+            and not minterm_checks(cell, tt, margin=margin)[0].any())
 
 
 def worst_case_delay(cell: FtlCell, tt: TruthTable) -> float:
     """Max nominal evaluate delay over all minterms (the modeled C2Q)."""
-    return max(evaluate(cell, m).delay for m in range(tt.size))
+    return minterm_checks(cell, tt)[1][0]
 
 
 def model_power(cell: FtlCell, tt: TruthTable) -> float:
     """Trend-level power: dynamic switching term plus the crowbar-style
     static term through the losing network."""
     p = cell.params
-    static_g = np.mean(
-        [min(evaluate(cell, m).g_left, evaluate(cell, m).g_right)
-         for m in range(tt.size)]
-    )
+    static_g = np.mean(np.minimum(*conductances(cell))[0, :tt.size])
     dynamic = p.switching_activity * p.clock_freq * p.c_eff * p.vdd ** 2
     return dynamic + p.vdd ** 2 * float(static_g) * p.duty

@@ -137,6 +137,8 @@ def map_ftl(
 ) -> MappedDesign:
     """Greedy per-flip-flop replacement; zero replacements is a valid
     outcome.  Ties break on fewest leaves, then lexicographic leaf names."""
+    if not 1 <= k <= 5:
+        raise ValueError(f"k must lie in 1..5, the ftl5 fan-in; got {k}")
     cost = cost or CostModel()
     original = copy.deepcopy(nl)
     work = copy.deepcopy(nl)
@@ -161,7 +163,7 @@ def map_ftl(
             if cut.trivial:
                 continue
             tt = cut_function(work, cut)
-            tf = check_threshold(tt) if tt.n <= 6 else None
+            tf = check_threshold(tt)
             if tf is None:
                 continue
             dead = _dead_gates(work, kept_leaves | set(cut.leaves),

@@ -132,12 +132,10 @@ def _train_from(
         seen.add(state)
         epochs += 1
         clean = True
+        cur = FtlCell(tt.n, tuple(vt), vl, vr, p)
         for m in range(tt.size):
             want = tt.value(m)
-            r = evaluate(
-                FtlCell(tt.n, tuple(vt), vl, vr, p),
-                m, h if want else -h,
-            )
+            r = evaluate(cur, m, h if want else -h)
             if r.y == want and not r.metastable:
                 continue
             clean = False
@@ -168,6 +166,7 @@ def _train_from(
                     new = _step_down(vr, delta, p.vt_min, p.vt_max)
                     record(m, "vr", vr, new, "fallback_vr")
                     vr = new
+            cur = FtlCell(tt.n, tuple(vt), vl, vr, p)
             if iterations > bound:
                 return stop("bound")
         if clean:

@@ -1,15 +1,19 @@
 """Monte Carlo yield, conductivity, supply sweep, timing, and retuning."""
 
 import io
+import math
 
+import numpy as np
 import pytest
 
 from ftl.analysis import (Datapath, HOLD_SCENARIO, McConfig, RetuneError,
-                          SETUP_SCENARIO, check_timing, conductivity_map,
-                          margin_schedule, default_vgate_rule, retune_delay,
-                          run_timing_fix, vdd_sweep, write_histogram_csv,
-                          write_yield_csv, yield_mc)
-from ftl.device import DeviceParams, verify_cell, worst_case_delay
+                          SETUP_SCENARIO, YIELD_BLOCK, check_timing,
+                          conductivity_map, margin_schedule,
+                          default_vgate_rule, retune_delay, run_timing_fix,
+                          vdd_sweep, write_histogram_csv, write_yield_csv,
+                          yield_mc)
+from ftl.device import (DeviceParams, evaluate, sample_variation,
+                        verify_cell, worst_case_delay)
 from ftl.threshold import f115_table
 from ftl.train import train
 from ftl.truthtable import parse_truth_table
@@ -45,6 +49,32 @@ def test_yield_histogram_conserved():
     assert rep.hist_counts.sum() == rep.passing
     assert (rep.hist_counts >= 0).all()
     assert 0.0 <= rep.yield_fraction <= 1.0
+
+
+def test_yield_matches_per_trial_evaluate():
+    cell = train(F115).cell
+    mc = McConfig(trials=YIELD_BLOCK + 50, sigma_local=0.05, seed=5)
+    rows, tally = [], {}
+    for t in range(mc.trials):
+        s = sample_variation(5, mc.sigma_local, mc.sigma_global, mc.sigma_k,
+                             mc.seed, t)
+        results = [evaluate(cell, m, 0.0, s) for m in range(32)]
+        bad = [m for m, r in enumerate(results)
+               if r.metastable or r.y != F115.value(m)]
+        for m in bad:
+            tally[m] = tally.get(m, 0) + 1
+        rows.append((t, False, math.nan) if bad
+                    else (t, True, max(r.delay for r in results)))
+    passing = [w for _, ok, w in rows if ok]
+    counts, edges = np.histogram(passing, bins=mc.hist_bins)
+
+    rep = yield_mc(cell, F115, mc)
+    assert 0 < len(passing) < mc.trials and tally
+    assert rep.rows == rows
+    assert rep.passing == len(passing)
+    assert rep.fail_tally == tally
+    assert np.array_equal(rep.hist_counts, counts)
+    assert np.array_equal(rep.hist_edges, edges)
 
 
 def test_robust_yield_beats_baseline(f115_levels):

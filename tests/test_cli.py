@@ -6,6 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from ftl.cli import main
+from ftl.mapping import map_ftl
+from ftl.netlist import parse_blif
+from ftl.threshold import build_catalog
 
 CORPUS = "src/ftl/corpus"
 
@@ -151,6 +154,25 @@ def test_map_k_out_of_range(runner, tmp_path, k):
     assert "--k" in r.output
 
 
+@pytest.mark.parametrize("k", [6, 0])
+@pytest.mark.parametrize("with_catalog", [False, True])
+def test_map_ftl_k_out_of_range(k, with_catalog):
+    catalog = build_catalog(5) if with_catalog else None
+    with pytest.raises(ValueError, match="k must lie in 1..5"):
+        map_ftl(parse_blif(SIX_INPUT_CONE), k=k, catalog=catalog)
+
+
+@pytest.mark.parametrize("flag", [["--trials", "0"], ["--trials", "-5"],
+                                  ["--sigma-local", "-0.1"],
+                                  ["--sigma-global", "-0.1"],
+                                  ["--sigma-k", "-1"]])
+def test_mc_flags_out_of_range(runner, tmp_path, flag):
+    r = runner.invoke(main, ["experiments", "yield-sweep", *flag, "--out",
+                             str(tmp_path)])
+    assert r.exit_code == 2
+    assert flag[0] in r.output
+
+
 def test_map_missing_file(runner, tmp_path):
     r = runner.invoke(main, ["map", str(tmp_path / "nope.blif"), "--out",
                              str(tmp_path)])
@@ -174,10 +196,3 @@ def test_header_line_present_by_default(runner, tmp_path):
                              str(tmp_path)])
     assert r.exit_code == 0
     assert read(tmp_path / "catalog.csv").startswith("# ftl catalog generated")
-
-
-def test_ftl_threads_validated(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("FTL_THREADS", "zero")
-    r = runner.invoke(main, ["experiments", "yield-sweep", "--trials", "10",
-                             "--out", str(tmp_path)])
-    assert r.exit_code == 2

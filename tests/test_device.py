@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from ftl.device import (DeviceParams, FtlCell, VariationSample,
-                        branch_conductance, evaluate, model_power,
-                        sample_variation, verify_cell, worst_case_delay)
+                        branch_conductance, conductances, evaluate,
+                        model_power, sample_variation, verify_cell,
+                        worst_case_delay)
 from ftl.threshold import f115_table
 from ftl.train import train
-from ftl.truthtable import parse_truth_table
+from ftl.truthtable import TruthTable, parse_truth_table
 
 
 def test_params_defaults():
@@ -144,6 +145,75 @@ def test_evaluate_no_sample_equals_identity_sample():
         a = evaluate(cell, m)
         b = evaluate(cell, m, sample=VariationSample.identity(2))
         assert a == b
+
+
+def _reference_pair(cell, m, sample):
+    """evaluate's conductance sum written out: an input shifts by
+    vt + (global + local), a side device by (v + global) + local, and
+    k_mult scales last."""
+    p, g, local = cell.params, sample.global_shift, sample.local
+    g_left = g_right = 0.0
+    for i in range(cell.n):
+        gi = branch_conductance(cell.vt[i] + (g + local[i]), p)
+        if (m >> i) & 1:
+            g_left += gi
+        else:
+            g_right += gi
+    g_left += branch_conductance(cell.v_left + g + local[cell.n], p)
+    g_right += branch_conductance(cell.v_right + g + local[cell.n + 1], p)
+    return g_left * sample.k_mult, g_right * sample.k_mult
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conductances_equal_evaluate_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    p = DeviceParams()
+    for c in range(10):
+        vt = rng.uniform(p.vt_min, p.vt_max, n + 2)
+        cell = FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p)
+        samples = [None] + [sample_variation(n, 0.05, 0.03, 0.1, c, t)
+                            for t in range(5)]
+        g_left, g_right = conductances(cell, samples)
+        assert g_left.shape == g_right.shape == (len(samples), 1 << n)
+        for row, s in enumerate(samples):
+            for m in range(1 << n):
+                r = evaluate(cell, m, sample=s)
+                ref = _reference_pair(cell, m,
+                                      s or VariationSample.identity(n))
+                assert (g_left[row, m], g_right[row, m]) == ref
+                assert (r.g_left, r.g_right) == ref
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_checks_equal_per_minterm_evaluate(n):
+    rng = np.random.default_rng(100 + n)
+    p = DeviceParams()
+    for c in range(10):
+        vt = rng.uniform(p.vt_min, p.vt_max, n + 2)
+        cell = FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p)
+        nominal = [evaluate(cell, m) for m in range(1 << n)]
+        own = TruthTable(n, sum(r.y << m for m, r in enumerate(nominal)))
+        for tt in (own, TruthTable(n, own.bits ^ 1)):
+            for margin in (0.0, 0.01, 0.1):
+                ok = True
+                for m in range(tt.size):
+                    r = evaluate(cell, m, margin if tt.value(m) else -margin)
+                    ok = ok and not r.metastable and r.y == tt.value(m)
+                assert verify_cell(cell, tt, margin) == ok
+            assert worst_case_delay(cell, tt) == max(r.delay for r in nominal)
+            static_g = np.mean([min(r.g_left, r.g_right) for r in nominal])
+            assert model_power(cell, tt) == (
+                p.switching_activity * p.clock_freq * p.c_eff * p.vdd ** 2
+                + p.vdd ** 2 * float(static_g) * p.duty)
+
+
+def test_metastable_minterm_fails_table_checks():
+    p = DeviceParams()
+    cell = FtlCell(2, (0.45, 0.45), 0.45, 0.45, p)
+    decisions = TruthTable(2, sum(evaluate(cell, m).y << m for m in range(4)))
+    assert evaluate(cell, 0b01).metastable
+    assert not verify_cell(cell, decisions)
+    assert math.isinf(worst_case_delay(cell, decisions))
 
 
 def test_trained_f115_verifies_exhaustively():
