@@ -216,16 +216,14 @@ def _instance_output(inst: FtlInstance, leaf_values: dict[str, int]) -> int:
 
 
 def _simulate_mapped(design: MappedDesign, pi_values: dict[str, int],
-                     state: dict[str, int]) -> tuple[dict[str, int], dict[str, int]]:
-    nl = design.netlist
-    values = dict(pi_values)
-    for q, l in nl.latches.items():
-        values[q] = state.get(q, l.init)
+                     state: dict[str, int], order: list[str]
+                     ) -> tuple[dict[str, int], dict[str, int]]:
+    """One cycle of the residual netlist (topological order `order`) with
+    the FTL instance outputs as extra sources; instances reset to 0."""
+    sources = dict(pi_values)
     for inst in design.instances:
-        values[inst.q] = state.get(inst.q, 0)
-    for net in nl.topo_order():
-        values[net] = nl.gates[net].eval(values)
-    next_state = {q: values[l.d] for q, l in nl.latches.items()}
+        sources[inst.q] = state.get(inst.q, 0)
+    values, next_state = design.netlist.step(sources, state, order)
     for inst in design.instances:
         next_state[inst.q] = _instance_output(inst, values)
     return values, next_state
@@ -258,13 +256,15 @@ def verify_equivalence(
                 return (cycle, sig)
         return None
 
+    order_o = original.topo_order()
+    order_m = mapped.netlist.topo_order()
     rng = np.random.default_rng(stimuli_seed)
     state_o: dict[str, int] = {}
     state_m: dict[str, int] = {}
     for cycle in range(cycles):
         pi_values = {pi: int(rng.integers(0, 2)) for pi in pis}
-        vals_o, state_o = original.step(pi_values, state_o)
-        vals_m, state_m = _simulate_mapped(mapped, pi_values, state_m)
+        vals_o, state_o = original.step(pi_values, state_o, order_o)
+        vals_m, state_m = _simulate_mapped(mapped, pi_values, state_m, order_m)
         checked += 1
         div = compare(cycle, vals_o, state_o, vals_m, state_m)
         if div:
@@ -273,8 +273,8 @@ def verify_equivalence(
     if len(pis) <= 10:
         for m in range(1 << len(pis)):
             pi_values = {pi: (m >> i) & 1 for i, pi in enumerate(pis)}
-            vals_o, next_o = original.step(pi_values, {})
-            vals_m, next_m = _simulate_mapped(mapped, pi_values, {})
+            vals_o, next_o = original.step(pi_values, {}, order_o)
+            vals_m, next_m = _simulate_mapped(mapped, pi_values, {}, order_m)
             checked += 1
             div = compare(cycles + m, vals_o, next_o, vals_m, next_m)
             if div:

@@ -7,6 +7,7 @@ output cover), .latch (D flip-flop), .end.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .truthtable import TruthTable
@@ -68,15 +69,17 @@ class Netlist:
                 raise NetlistError(f"output net {net!r} has no driver")
         self.topo_order()  # raises on combinational loops
 
-    def topo_order(self) -> list[str]:
+    def topo_order(self, within: Collection[str] | None = None) -> list[str]:
         """Gate outputs in topological order; latch outputs and PIs are
-        sources."""
+        sources.  Given `within`, only those gates are ordered and every
+        other net is a source."""
+        gates = self.gates if within is None else within
         order: list[str] = []
         state: dict[str, int] = {}  # 0 visiting, 1 done
 
         sources = set(self.inputs) | set(self.latches)
         stack: list[tuple[str, bool]] = []
-        for root in sorted(self.gates):
+        for root in sorted(gates):
             if root in state and state[root]:
                 continue
             stack.append((root, False))
@@ -93,23 +96,27 @@ class Netlist:
                 state[net] = 0
                 stack.append((net, True))
                 for dep in self.gates[net].inputs:
-                    if dep in self.gates and state.get(dep) != 1:
+                    if dep in gates and state.get(dep) != 1:
                         stack.append((dep, False))
         return order
 
-    def eval_comb(self, pi_values: dict[str, int],
-                  state: dict[str, int]) -> dict[str, int]:
+    def eval_comb(self, pi_values: dict[str, int], state: dict[str, int],
+                  order: list[str] | None = None) -> dict[str, int]:
+        """Net values for one cycle.  Latches absent from state read their
+        init value; `order` is this netlist's `topo_order()`, computed here
+        when not given."""
         values = dict(pi_values)
         for q, l in self.latches.items():
             values[q] = state.get(q, l.init)
-        for net in self.topo_order():
+        for net in self.topo_order() if order is None else order:
             values[net] = self.gates[net].eval(values)
         return values
 
-    def step(self, pi_values: dict[str, int],
-             state: dict[str, int]) -> tuple[dict[str, int], dict[str, int]]:
+    def step(self, pi_values: dict[str, int], state: dict[str, int],
+             order: list[str] | None = None
+             ) -> tuple[dict[str, int], dict[str, int]]:
         """One clock cycle: returns (net values, next latch state)."""
-        values = self.eval_comb(pi_values, state)
+        values = self.eval_comb(pi_values, state, order)
         return values, {q: values[l.d] for q, l in self.latches.items()}
 
 
@@ -318,7 +325,7 @@ def cut_function(nl: Netlist, cut: Cut) -> TruthTable:
         raise ValueError("cone simulation limited to 6 leaves")
     if cut.trivial:
         return TruthTable(1, 0b10)
-    order = [n for n in nl.topo_order() if n in cut.gates]
+    order = nl.topo_order(cut.gates)
     bits = 0
     for m in range(1 << len(leaves)):
         values = {leaf: (m >> i) & 1 for i, leaf in enumerate(leaves)}

@@ -8,6 +8,12 @@ non-increasing weights (Chow 1961; Muroga 1971), so one table of what those
 vectors realize decides detection exactly and feeds the catalog.  The
 weights are then searched at that sum in the original input order; ties
 break lexicographically on the weight vector, then on the smallest T.
+
+That search scans the first weight in ascending order and, for each value,
+one cached block of the remaining n - 1 weights: every composition of the
+rest of the sum in lexicographic order, with its score on every minterm.
+The first feasible row is the lexicographically first feasible vector, and
+no cached block is wider than 5 weights.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from .truthtable import (
     Polarity,
     TruthTable,
+    chow_parameters,
     permute_inputs,
     project_to_support,
     to_positive_form,
@@ -56,16 +63,37 @@ def _minterm_matrix(n: int) -> np.ndarray:
     return ((m[:, None] >> np.arange(n)) & 1).astype(np.int64)
 
 
-def _compositions(total: int, parts: int, bound: int):
-    """All vectors of `parts` ints in [0, bound] summing to `total`,
-    in ascending lexicographic order."""
-    if parts == 1:
-        if total <= bound:
-            yield (total,)
-        return
-    for first in range(max(0, total - bound * (parts - 1)), min(bound, total) + 1):
-        for rest in _compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
+def _first_weights(total: int, parts: int, bound: int) -> range:
+    """The values the first of `parts` weights in [0, bound] summing to
+    `total` can take."""
+    return range(max(0, total - bound * (parts - 1)), min(bound, total) + 1)
+
+
+@lru_cache(maxsize=None)
+def _composition_table(total: int, parts: int,
+                       bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, scores): every vector of `parts` ints in [0, bound] summing to
+    `total`, in ascending lexicographic order, and each row's score on every
+    minterm of `parts` inputs, in the narrowest unsigned dtype.  Built from
+    the (parts - 1)-part tables; the scan never asks for more than 5 parts.
+    At bound 16 all tables of up to 5 parts hold 1.4M rows, about 53 MB;
+    a scan at weight sum T builds only tables of sums up to T.
+    Shared: never mutate."""
+    dtype = np.min_scalar_type(bound * parts)
+    if parts == 0:
+        count = int(total == 0)
+        return np.zeros((count, 0), dtype), np.zeros((count, 1), dtype)
+    row_blocks = [np.zeros((0, parts), dtype)]
+    score_blocks = [np.zeros((0, 1 << parts), dtype)]
+    for first in _first_weights(total, parts, bound):
+        rows, scores = _composition_table(total - first, parts - 1, bound)
+        block = np.empty((len(rows), 2 * scores.shape[1]), dtype)
+        block[:, 0::2] = scores  # x_1 = 0
+        block[:, 1::2] = block[:, 0::2] + dtype.type(first)
+        row_blocks.append(np.column_stack(
+            [np.full(len(rows), first, dtype), rows.astype(dtype)]))
+        score_blocks.append(block)
+    return np.concatenate(row_blocks), np.concatenate(score_blocks)
 
 
 @lru_cache(maxsize=8)
@@ -110,24 +138,34 @@ def check_threshold(
         return ThresholdFunction((0,) * tt.n, 1 - pos.value(0))
 
     reduced, used = project_to_support(pos)
-    chow = [sum(m >> i & 1 for m in reduced.onset()) for i in range(reduced.n)]
+    chow = chow_parameters(reduced)
     order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
     key = permute_inputs(reduced, order).bits
     total = _sorted_tables(reduced.n, weight_bound).get(key)
     if total is None:
         return None
 
-    mm = _minterm_matrix(reduced.n)
+    # First feasible vector at that sum in ascending lexicographic order:
+    # blocks by the first weight, the rest read from the cached table.
     on = np.array([bool(reduced.value(m)) for m in range(reduced.size)])
-    compositions = _compositions(total, reduced.n, weight_bound)
-    while batch := list(itertools.islice(compositions, _CHUNK)):
-        scores = np.asarray(batch, dtype=np.int64) @ mm.T
-        max_off = scores[:, ~on].max(axis=1)
-        feasible = np.flatnonzero(scores[:, on].min(axis=1) > max_off)
+    on_0, on_1 = on[0::2], on[1::2]  # minterms with x_1 = 0 and x_1 = 1
+    for first in _first_weights(total, reduced.n, weight_bound):
+        rows, scores = _composition_table(total - first, reduced.n - 1,
+                                          weight_bound)
+        # Positive and non-constant: minterm 0 is off, all-ones is on.
+        # Sums in int64, since the table's dtype may not hold them.
+        max_off = scores[:, ~on_0].max(axis=1).astype(np.int64)
+        min_on = scores[:, on_1].min(axis=1).astype(np.int64) + first
+        if not on_1.all():
+            max_off = np.maximum(
+                max_off, scores[:, ~on_1].max(axis=1).astype(np.int64) + first)
+        if on_0.any():
+            min_on = np.minimum(min_on, scores[:, on_0].min(axis=1))
+        feasible = np.flatnonzero(min_on > max_off)
         if feasible.size:
             # Map back through the complement mask: x_i -> 1 - x_i
             weights = [0] * tt.n
-            for i, w in zip(used, batch[int(feasible[0])]):
+            for i, w in zip(used, (first, *rows[feasible[0]].tolist())):
                 weights[i] = -w if (mask >> i) & 1 else w
             t = int(max_off[feasible[0]]) + 1 + sum(min(w, 0) for w in weights)
             return ThresholdFunction(tuple(weights), t)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
 MAX_INPUTS = 8
@@ -75,24 +76,19 @@ def parse_truth_table(spec: str, n: int) -> TruthTable:
     return TruthTable(n, bits)
 
 
-def cofactors(tt: TruthTable, var: int) -> tuple[int, int]:
-    """Return (f|x_var=0, f|x_var=1) as bit masks indexed by the reduced minterm."""
-    neg = pos = 0
-    j = 0
-    for m in range(tt.size):
-        if (m >> var) & 1:
-            continue
-        neg |= tt.value(m) << j
-        pos |= tt.value(m | (1 << var)) << j
-        j += 1
-    return neg, pos
+@lru_cache(maxsize=None)
+def _low_halves(n: int) -> tuple[int, ...]:
+    """Per input i, the table mask of the minterms with x_{i+1} = 0."""
+    ones = (1 << (1 << n)) - 1
+    return tuple(ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
+                 for i in range(n))
 
 
 def unateness(tt: TruthTable) -> list[Polarity]:
     """Per-variable polarity; NONUNATE variables rule out thresholdness."""
     out = []
-    for i in range(tt.n):
-        neg, pos = cofactors(tt, i)
+    for i, low in enumerate(_low_halves(tt.n)):
+        neg, pos = tt.bits & low, (tt.bits >> (1 << i)) & low  # the cofactors
         if neg == pos:
             out.append(Polarity.UNUSED)
         elif neg & ~pos == 0:
@@ -104,11 +100,18 @@ def unateness(tt: TruthTable) -> list[Polarity]:
     return out
 
 
+def chow_parameters(tt: TruthTable) -> list[int]:
+    """Per input, the number of onset minterms in which it is 1."""
+    return [(tt.bits & ~low).bit_count() for low in _low_halves(tt.n)]
+
+
 def apply_complements(tt: TruthTable, mask: int) -> TruthTable:
     """Complement the inputs selected by mask (an involution)."""
-    bits = 0
-    for m in range(tt.size):
-        bits |= tt.value(m ^ mask) << m
+    bits = tt.bits
+    for i, low in enumerate(_low_halves(tt.n)):
+        if (mask >> i) & 1:
+            shift = 1 << i
+            bits = ((bits & low) << shift) | ((bits >> shift) & low)
     return TruthTable(tt.n, bits)
 
 

@@ -3,10 +3,11 @@
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ftl.mapping import (CostModel, export_mapped_blif, map_ftl,
-                         verify_equivalence, write_cost_csv)
+from ftl.mapping import (CostModel, _instance_output, export_mapped_blif,
+                         map_ftl, verify_equivalence, write_cost_csv)
 from ftl.netlist import parse_blif
 from ftl.threshold import build_catalog, f115_table
 from ftl.train import train
@@ -98,6 +99,79 @@ def test_corrupted_weight_diverges(catalog):
     report = verify_equivalence(nl, design)
     assert not report.equivalent
     assert report.first_divergence is not None
+
+
+def reference_report(original, design, cycles=64, seed=0):
+    """(equivalent, cycles_checked, first_divergence) from a loop over
+    per-call Netlist.step, each call sorting its netlist again."""
+    nl = design.netlist
+
+    def mapped_step(pi_values, state):
+        values = dict(pi_values)
+        for q, l in nl.latches.items():
+            values[q] = state.get(q, l.init)
+        for inst in design.instances:
+            values[inst.q] = state.get(inst.q, 0)
+        for net in nl.topo_order():
+            values[net] = nl.gates[net].eval(values)
+        nxt = {q: values[l.d] for q, l in nl.latches.items()}
+        for inst in design.instances:
+            nxt[inst.q] = _instance_output(inst, values)
+        return values, nxt
+
+    watch = sorted(set(original.latches) | set(original.outputs))
+
+    def diverges(cycle, va, sa, vb, sb):
+        return next(((cycle, s) for s in watch
+                     if sa.get(s, va.get(s)) != sb.get(s, vb.get(s))), None)
+
+    pis = original.inputs
+    rng = np.random.default_rng(seed)
+    so, sm, checked = {}, {}, 0
+    for cycle in range(cycles):
+        pi_values = {pi: int(rng.integers(0, 2)) for pi in pis}
+        vo, so = original.step(pi_values, so)
+        vm, sm = mapped_step(pi_values, sm)
+        checked += 1
+        if div := diverges(cycle, vo, so, vm, sm):
+            return False, checked, div
+    for m in range(1 << len(pis)) if len(pis) <= 10 else ():
+        pi_values = {pi: (m >> i) & 1 for i, pi in enumerate(pis)}
+        vo, no = original.step(pi_values, {})
+        vm, nm = mapped_step(pi_values, {})
+        checked += 1
+        if div := diverges(cycles + m, vo, no, vm, nm):
+            return False, checked, div
+    return True, checked, None
+
+
+def test_verdicts_match_per_call_step(catalog):
+    cases = []
+    for name in ("fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif"):
+        nl = load(name)
+        cases.append((nl, map_ftl(nl, catalog=catalog)))
+    nl = load("f115_nandinv.blif")
+    design = map_ftl(nl, trainer_hook=trainer_hook, catalog=catalog)
+    inst = design.instances[0]
+    broken = replace(inst.cell, vt=(0.88,) * inst.cell.n)
+    design.instances[0] = replace(inst, cell=broken)
+    cases.append((nl, design))
+    # A reset-to-1 register read by an output: the mapped cell resets to 0,
+    # so the designs diverge at the first cycle with a = 1.
+    text = open(f"{CORPUS}/f115_nandinv.blif").read()
+    text = text.replace(".outputs fq", ".outputs fq y").replace(
+        ".latch f fq re clk 0", ".latch f fq re clk 1\n.names fq a y\n11 1")
+    nl = parse_blif(text)
+    cases.append((nl, map_ftl(nl, catalog=catalog)))
+    assert len(cases[-1][1].instances) == 1
+    for nl, design in cases:
+        for seed in (0, 5):
+            report = verify_equivalence(nl, design, stimuli_seed=seed)
+            assert (report.equivalent, report.cycles_checked,
+                    report.first_divergence) == \
+                reference_report(nl, design, seed=seed), nl.model
+    assert [reference_report(*case)[0] for case in cases] == \
+        [True, True, True, False, False]
 
 
 def test_pruning_keeps_best_choice(catalog):

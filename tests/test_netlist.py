@@ -190,3 +190,29 @@ def test_f115_cone_function():
     cuts = enumerate_cuts(nl, root, k=5)
     tables = {cut_function(nl, c).bits for c in cuts if len(c.leaves) == 5}
     assert f115_table().bits in tables
+
+
+def test_cone_order_gives_whole_netlist_order_table():
+    """cut_function sorts only the cone; every cut of every latch cone in
+    the corpus gets the table a whole-netlist order gives."""
+    checked = 0
+    for name in ("fig2_hybrid", "f115_nandinv", "xor_ring"):
+        nl = parse_blif(open(f"src/ftl/corpus/{name}.blif").read())
+        whole = nl.topo_order()
+        for latch in nl.latches.values():
+            if latch.d not in nl.gates:
+                continue
+            for cut in enumerate_cuts(nl, latch.d, k=6):
+                if cut.trivial:
+                    continue
+                bits = 0
+                for m in range(1 << len(cut.leaves)):
+                    values = {leaf: (m >> i) & 1
+                              for i, leaf in enumerate(cut.leaves)}
+                    for net in whole:
+                        if net in cut.gates:
+                            values[net] = nl.gates[net].eval(values)
+                    bits |= values[cut.root] << m
+                assert cut_function(nl, cut).bits == bits, (name, cut.leaves)
+                checked += 1
+    assert checked > 20

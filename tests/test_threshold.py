@@ -12,7 +12,8 @@ from ftl.threshold import (ThresholdFunction, build_catalog, canonicalize_np,
                            check_threshold, count_threshold_functions,
                            f115_table, write_catalog_csv)
 from ftl.truthtable import (Polarity, TruthTable, apply_complements,
-                            parse_truth_table, permute_inputs, unateness)
+                            parse_truth_table, permute_inputs,
+                            project_to_support, to_positive_form, unateness)
 
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
@@ -238,3 +239,96 @@ def test_catalog_lost_realization_raises(monkeypatch):
     monkeypatch.setattr(threshold, "check_threshold", lambda *args: None)
     with pytest.raises(RuntimeError, match="lost its realization"):
         build_catalog(2)
+
+
+# -- the cached composition table against the recursive generator -----------
+
+def compositions(total, parts, bound):
+    """The recursive generator the table replaced: all vectors of `parts`
+    ints in [0, bound] summing to `total`, in ascending lexicographic order."""
+    if parts == 1:
+        if total <= bound:
+            yield (total,)
+        return
+    for first in range(max(0, total - bound * (parts - 1)),
+                       min(bound, total) + 1):
+        for rest in compositions(total - first, parts - 1, bound):
+            yield (first,) + rest
+
+
+def test_composition_table_matches_generator():
+    for bound in (1, 3, 16):
+        for parts in range(1, 6):
+            mm = threshold._minterm_matrix(parts)
+            for total in range(21):
+                rows, scores = threshold._composition_table(total, parts, bound)
+                want = list(compositions(total, parts, bound))
+                assert [tuple(r) for r in rows.tolist()] == want, \
+                    (total, parts, bound)
+                assert rows.dtype == scores.dtype == \
+                    np.min_scalar_type(bound * parts)
+                assert np.array_equal(scores, rows.astype(np.int64) @ mm.T)
+
+
+def scan_reference(tt, bound=16):
+    """check_threshold as it was before the cached table: the Chow-sorted
+    lookup, then batches of the recursive generator at the minimum sum."""
+    if Polarity.NONUNATE in unateness(tt):
+        return None
+    pos, mask = to_positive_form(tt)
+    if pos.is_constant():
+        return ThresholdFunction((0,) * tt.n, 1 - pos.value(0))
+    reduced, used = project_to_support(pos)
+    chow = [sum(m >> i & 1 for m in reduced.onset()) for i in range(reduced.n)]
+    order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
+    total = threshold._sorted_tables(reduced.n, bound).get(
+        permute_inputs(reduced, order).bits)
+    if total is None:
+        return None
+    mm = threshold._minterm_matrix(reduced.n)
+    on = np.array([bool(reduced.value(m)) for m in range(reduced.size)])
+    vectors = compositions(total, reduced.n, bound)
+    while batch := list(itertools.islice(vectors, 1 << 15)):
+        scores = np.asarray(batch, dtype=np.int64) @ mm.T
+        max_off = scores[:, ~on].max(axis=1)
+        feasible = np.flatnonzero(scores[:, on].min(axis=1) > max_off)
+        if feasible.size:
+            weights = [0] * tt.n
+            for i, w in zip(used, batch[int(feasible[0])]):
+                weights[i] = -w if (mask >> i) & 1 else w
+            t = int(max_off[feasible[0]]) + 1 + sum(min(w, 0) for w in weights)
+            return ThresholdFunction(tuple(weights), t)
+    raise AssertionError(f"{tt} has no weight-sum {total} realization")
+
+
+def test_scan_matches_reference_on_catalog_variants():
+    rng = random.Random(41)
+    for e in build_catalog(5):
+        for _ in range(3):
+            perm = tuple(rng.sample(range(e.n), e.n))
+            tt = apply_complements(permute_inputs(e.table, perm),
+                                   rng.getrandbits(e.n))
+            assert check_threshold(tt) == scan_reference(tt), (e.index, tt)
+
+
+def test_scan_matches_reference_on_random_six_input_tables():
+    rng = random.Random(43)
+    for _ in range(50):
+        w = [rng.randint(-7, 7) for _ in range(6)]
+        t = rng.randint(-6, 12)
+        tt = table6(lambda x: sum(wi for wi, xi in zip(w, x) if xi) >= t)
+        assert check_threshold(tt) == scan_reference(tt), (w, t)
+
+
+def test_scan_caches_no_table_over_five_parts(monkeypatch):
+    cached = threshold._composition_table
+    parts_seen = []
+
+    def spy(total, parts, bound):
+        parts_seen.append(parts)
+        return cached(total, parts, bound)
+
+    monkeypatch.setattr(threshold, "_composition_table", spy)
+    assert check_threshold(table6(lambda x: sum(x) >= 4)) is not None
+    assert check_threshold(table6(lambda x: x[0] and any(x[1:]))) is not None
+    assert parts_seen and max(parts_seen) == 5

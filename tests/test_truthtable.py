@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from ftl.truthtable import (Polarity, TruthTable, apply_complements, cofactors,
-                            parse_truth_table, permute_inputs,
+from ftl.truthtable import (Polarity, TruthTable, apply_complements,
+                            chow_parameters, parse_truth_table, permute_inputs,
                             project_to_support, support, to_positive_form,
                             unateness)
 
@@ -69,8 +69,11 @@ def test_unateness_unused_variable():
 
 
 def test_cofactors_split():
-    neg, pos = cofactors(AND2, 0)
-    assert (neg, pos) == (0b00, 0b10)
+    # AND2 split on x_1: f|x_1=0 is 0 and f|x_1=1 is b, so x_1 is positive.
+    # Swapping the two cofactors gives !a*b (table "4"): x_1 turns negative.
+    assert unateness(AND2)[0] is Polarity.POSITIVE
+    assert unateness(parse_truth_table("4", 2)) == [Polarity.NEGATIVE,
+                                                    Polarity.POSITIVE]
 
 
 def test_positive_form_a_and_not_b():
@@ -139,3 +142,65 @@ def test_projection_of_constant():
     proj, kept = project_to_support(const1)
     assert kept == []
     assert proj.is_constant()
+
+
+# -- word-level operations against per-minterm reference loops ---------------
+
+def reference_unateness(tt):
+    out = []
+    for i in range(tt.n):
+        neg = pos = j = 0
+        for m in range(tt.size):
+            if (m >> i) & 1:
+                continue
+            neg |= tt.value(m) << j
+            pos |= tt.value(m | (1 << i)) << j
+            j += 1
+        if neg == pos:
+            out.append(Polarity.UNUSED)
+        elif neg & ~pos == 0:
+            out.append(Polarity.POSITIVE)
+        elif pos & ~neg == 0:
+            out.append(Polarity.NEGATIVE)
+        else:
+            out.append(Polarity.NONUNATE)
+    return out
+
+
+def reference_complements(tt, mask):
+    return TruthTable(tt.n, sum(tt.value(m ^ mask) << m for m in range(tt.size)))
+
+
+def reference_chow(tt):
+    return [sum((m >> i) & 1 for m in tt.onset()) for i in range(tt.n)]
+
+
+def word_level_cases():
+    """Every table of n <= 3 with every mask, then seeded random tables of
+    n = 4..8: uniform ones (nearly all non-unate) and signed-weight
+    threshold ones (positive, negative and unused inputs)."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            for mask in range(1 << n):
+                yield TruthTable(n, bits), mask
+    rng = random.Random(29)
+    for n in range(4, 9):
+        for _ in range(40):
+            yield TruthTable(n, rng.getrandbits(1 << n)), rng.getrandbits(n)
+            w = [rng.randint(-4, 4) for _ in range(n)]
+            t = rng.randint(-n, 2 * n)
+            bits = sum(1 << m for m in range(1 << n)
+                       if sum(w[i] for i in range(n) if (m >> i) & 1) >= t)
+            yield TruthTable(n, bits), rng.getrandbits(n)
+
+
+def test_word_level_ops_match_per_minterm_loops():
+    seen = set()
+    for tt, mask in word_level_cases():
+        pol = unateness(tt)
+        assert pol == reference_unateness(tt), tt
+        assert chow_parameters(tt) == reference_chow(tt), tt
+        assert apply_complements(tt, mask) == reference_complements(tt, mask), \
+            (tt, mask)
+        seen.update(pol)
+    assert seen == set(Polarity)
