@@ -42,13 +42,9 @@ from .analysis import (
     yield_mc,
 )
 from .program import (
-    ArrayConfig,
-    ChipAddress,
     ProgrammerConfig,
     PulseSchedule,
     apply_schedule,
-    decode_address,
-    encode_address,
     erase_block,
     plan_program,
     program_cell,

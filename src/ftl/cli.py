@@ -72,10 +72,10 @@ def _rows_csv(rows) -> str:
     return _capture_csv(lambda fp: csv.writer(fp).writerows(rows))
 
 
-def _resolve_function(spec: str, weight_bound: int):
+def _resolve_function(spec: str):
     """Function spec: 'hex:<digits>:<n>' or 'cat:<index>'."""
     if spec.startswith("cat:"):
-        entries = threshold.build_catalog(5, weight_bound)
+        entries = threshold.build_catalog(5)
         try:
             idx = int(spec[4:])
             return entries[idx].table
@@ -118,20 +118,18 @@ def main():
 
 @main.command("catalog")
 @click.option("--n-max", default=5, show_default=True)
-@click.option("--weight-bound", default=16, show_default=True)
 @out_option
 @no_header_option
-def cmd_catalog(n_max, weight_bound, out, no_header):
+def cmd_catalog(n_max, out, no_header):
     """Enumerate the NP-classes of threshold functions up to n-max inputs."""
     _ensure_out(out)
     try:
-        entries = threshold.build_catalog(n_max, weight_bound)
+        entries = threshold.build_catalog(n_max)
     except ValueError as e:
         raise CliError(str(e), EXIT_VALIDATION)
     text = _capture_csv(lambda fp: threshold.write_catalog_csv(entries, fp))
     _write_text(os.path.join(out, "catalog.csv"), text, not no_header, "catalog")
-    _write_manifest(out, {"command": "catalog", "n_max": n_max,
-                          "weight_bound": weight_bound})
+    _write_manifest(out, {"command": "catalog", "n_max": n_max})
     click.echo(f"{len(entries)} catalog entries -> {out}/catalog.csv")
 
 
@@ -143,18 +141,17 @@ def cmd_catalog(n_max, weight_bound, out, no_header):
               show_default=True)
 @click.option("--max-margin", default=analysis.ROBUST_MAX_MARGIN,
               show_default=True)
-@click.option("--weight-bound", default=16, show_default=True)
 @vdd_option
 @delta_option
 @out_option
 @no_header_option
-def cmd_train(spec, robust, margin_step, max_margin, weight_bound,
-              vdd, delta, out, no_header):
+def cmd_train(spec, robust, margin_step, max_margin, vdd, delta, out,
+              no_header):
     """Train a cell for a function given as hex:<digits>:<n>, cat:<index>,
     or the name f115."""
     _ensure_out(out)
-    tt = _resolve_function(spec, weight_bound)
-    if threshold.check_threshold(tt, weight_bound) is None:
+    tt = _resolve_function(spec)
+    if threshold.check_threshold(tt) is None:
         raise CliError(f"{spec} is not a threshold function", EXIT_CONVERGENCE)
     positive, mask = to_positive_form(tt)
     params = _device_params(vdd, delta)

@@ -9,9 +9,8 @@ complemented inputs.  Gates still fanning out elsewhere are kept.
 
 from __future__ import annotations
 
-import copy
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +71,6 @@ class MappedDesign:
     netlist: Netlist  # residual logic; FTL instances live alongside
     instances: list[FtlInstance]
     cost: CostSummary
-    original: Netlist
 
 
 def _dead_gates(nl: Netlist, live_roots: set[str],
@@ -140,18 +138,18 @@ def map_ftl(
     if not 1 <= k <= 5:
         raise ValueError(f"k must lie in 1..5, the ftl5 fan-in; got {k}")
     cost = cost or CostModel()
-    original = copy.deepcopy(nl)
-    work = copy.deepcopy(nl)
+    # Replacement only deletes gates and latches, so fresh dicts suffice
+    work = replace(nl, gates=dict(nl.gates), latches=dict(nl.latches))
     instances: list[FtlInstance] = []
-    area_before = _total_area(original, cost, 0)
-    path_before = _worst_path(original, cost, [])
+    area_before = _total_area(nl, cost, 0)
+    path_before = _worst_path(nl, cost, [])
     removed = 0
 
     catalog_by_table = {}
     if catalog is not None:
         catalog_by_table = {(e.n, e.table.bits): e.index for e in catalog}
 
-    for q in sorted(original.latches):
+    for q in sorted(nl.latches):
         if q not in work.latches:
             continue
         latch = work.latches[q]
@@ -202,7 +200,7 @@ def map_ftl(
         worst_path_before=path_before,
         worst_path_after=_worst_path(work, cost, instances),
     )
-    return MappedDesign(work, instances, summary, original)
+    return MappedDesign(work, instances, summary)
 
 
 def _instance_output(inst: FtlInstance, leaf_values: dict[str, int]) -> int:

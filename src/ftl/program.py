@@ -1,6 +1,5 @@
-"""Post-fabrication programming model: block erase, counted-pulse Vt
-setting with quantization, and the serial address decoding used to select
-one flash device of one cell on a chip.
+"""Post-fabrication programming model: block erase and counted-pulse Vt
+setting with quantization.
 
 Pulses are modeled as a constant Vt increment each; programming only
 raises Vt (tunneling electrons in), erase resets a whole block to the
@@ -10,7 +9,6 @@ erased level.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 
 from .device import FtlCell
@@ -87,72 +85,6 @@ def program_cell(target: FtlCell, cfg: ProgrammerConfig) -> FtlCell:
     """erase -> plan -> apply round trip for one cell."""
     erased = erase_block([target], cfg)[0]
     return apply_schedule(erased, plan_program(target, cfg))
-
-
-@dataclass(frozen=True)
-class ChipAddress:
-    cell_index: int  # selects FC_j
-    device_index: int  # selects FT_i
-
-
-@dataclass(frozen=True)
-class ArrayConfig:
-    n_cells: int
-    n_devices: int
-    cell_bits: int | None = None
-    device_bits: int | None = None
-
-    def __post_init__(self):
-        if self.n_cells < 1 or self.n_devices < 1:
-            raise ValueError("array dimensions must be >= 1")
-        if self.cell_bits is None:
-            object.__setattr__(self, "cell_bits",
-                               max(1, math.ceil(math.log2(self.n_cells))))
-        if self.device_bits is None:
-            object.__setattr__(self, "device_bits",
-                               max(1, math.ceil(math.log2(self.n_devices))))
-
-    @property
-    def frame_bits(self) -> int:
-        return self.cell_bits + self.device_bits
-
-
-def _as_bits(bitstream) -> list[int]:
-    bits = []
-    for b in bitstream:
-        v = int(b)
-        if v not in (0, 1):
-            raise ValueError(f"bitstream element {b!r} is not a bit")
-        bits.append(v)
-    return bits
-
-
-def decode_address(bitstream, cfg: ArrayConfig) -> ChipAddress:
-    """Big-endian split: cell index bits first, then device index bits."""
-    bits = _as_bits(bitstream)
-    if len(bits) != cfg.frame_bits:
-        raise ValueError(
-            f"bitstream length {len(bits)} != frame width {cfg.frame_bits}"
-        )
-    j = i = 0
-    for b in bits[: cfg.cell_bits]:
-        j = (j << 1) | b
-    for b in bits[cfg.cell_bits:]:
-        i = (i << 1) | b
-    if j >= cfg.n_cells:
-        raise ValueError(f"cell index {j} beyond array of {cfg.n_cells}")
-    if i >= cfg.n_devices:
-        raise ValueError(f"device index {i} beyond {cfg.n_devices} devices")
-    return ChipAddress(j, i)
-
-
-def encode_address(addr: ChipAddress, cfg: ArrayConfig) -> str:
-    if not 0 <= addr.cell_index < cfg.n_cells:
-        raise ValueError("cell index out of range")
-    if not 0 <= addr.device_index < cfg.n_devices:
-        raise ValueError("device index out of range")
-    return (format(addr.cell_index, f"0{cfg.cell_bits}b")
-            + format(addr.device_index, f"0{cfg.device_bits}b"))
 
 
 def write_schedule_csv(schedules: dict[int, PulseSchedule], fp) -> None:

@@ -14,12 +14,27 @@ one cached block of the remaining n - 1 weights: every composition of the
 rest of the sum in lexicographic order, with its score on every minterm.
 The first feasible row is the lexicographically first feasible vector, and
 no cached block is wider than 5 weights.
+
+Weights never need to exceed _MAX_WEIGHT[n] = 1, 1, 2, 3, 5, 9 for
+n = 1..6 inputs, so the table and the scan range over [0, _MAX_WEIGHT[n]].
+Two facts prove these caps:
+
+- Summed over NP orbits, the capped tables hold 4, 14, 104, 1,882, 94,572
+  and 15,028,134 functions, the known counts of threshold functions of
+  n = 1..6 inputs (OEIS A000609; Muroga 1971), so none is missing.
+  count_threshold_functions computes this sum.
+- The capped tables equal the tables over [0, 16]^n for n <= 5 and over
+  [0, 33]^6, and no sum in them exceeds 16 or 33.  A realization with a
+  smaller sum has no weight above these bounds and would have lowered
+  that sum, so the sums are the true minima.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,9 +50,8 @@ from .truthtable import (
     unateness,
 )
 
-DEFAULT_WEIGHT_BOUND = 16
-_SOLVER_MAX_INPUTS = 6
-_CHUNK = 1 << 15  # weight vectors scored per numpy batch
+_MAX_WEIGHT = (0, 1, 1, 2, 3, 5, 9)  # indexed by input count
+_SOLVER_MAX_INPUTS = len(_MAX_WEIGHT) - 1
 
 
 @dataclass(frozen=True)
@@ -76,8 +90,8 @@ def _composition_table(total: int, parts: int,
     `total`, in ascending lexicographic order, and each row's score on every
     minterm of `parts` inputs, in the narrowest unsigned dtype.  Built from
     the (parts - 1)-part tables; the scan never asks for more than 5 parts.
-    At bound 16 all tables of up to 5 parts hold 1.4M rows, about 53 MB;
-    a scan at weight sum T builds only tables of sums up to T.
+    At the 6-input cap of 9, all 5-part tables together hold at most 10^5
+    rows, under 4 MB.
     Shared: never mutate."""
     dtype = np.min_scalar_type(bound * parts)
     if parts == 0:
@@ -100,36 +114,31 @@ def _composition_table(total: int, parts: int,
 def _sorted_tables(n: int, bound: int) -> dict[int, int]:
     """{non-constant positive table: smallest weight sum} over the
     non-increasing weight vectors in [0, bound]^n.  Shared: never mutate.
-    Vectors are scored a chunk at a time in the narrowest dtype (no partial
-    sum of nonnegative weights overflows) and each row packs to one key."""
+    Vectors are scored in the narrowest dtype (no partial sum of
+    nonnegative weights overflows) and each row packs to one key."""
     dtype = np.min_scalar_type(bound * n)
     mm = _minterm_matrix(n).astype(dtype)
     best: dict[int, int] = {}
-    vectors = itertools.combinations_with_replacement(range(bound, -1, -1), n)
-    while chunk := list(itertools.islice(vectors, _CHUNK)):
-        w = np.asarray(chunk, dtype=dtype)
-        w = w[np.argsort(w.sum(axis=1, dtype=np.int64))]
-        sums, scores = w.sum(axis=1, dtype=np.int64), w @ mm.T
-        for t in range(1, int(scores.max()) + 1):
-            packed = np.packbits(scores >= t, axis=1, bitorder="little")
-            keys = packed.view(f"<u{packed.shape[1]}")[:, 0]
-            tables, first = np.unique(keys, return_index=True)
-            for bits, total in zip(tables.tolist(), sums[first].tolist()):
-                if bits and total < best.get(bits, total + 1):
-                    best[bits] = total
+    w = np.asarray(list(itertools.combinations_with_replacement(
+        range(bound, -1, -1), n)), dtype=dtype)
+    w = w[np.argsort(w.sum(axis=1, dtype=np.int64))]
+    sums, scores = w.sum(axis=1, dtype=np.int64), w @ mm.T
+    for t in range(1, int(scores.max()) + 1):
+        packed = np.packbits(scores >= t, axis=1, bitorder="little")
+        keys = packed.view(f"<u{packed.shape[1]}")[:, 0]
+        tables, first = np.unique(keys, return_index=True)
+        for bits, total in zip(tables.tolist(), sums[first].tolist()):
+            if bits and total < best.get(bits, total + 1):
+                best[bits] = total
     return best
 
 
-def check_threshold(
-    tt: TruthTable, weight_bound: int = DEFAULT_WEIGHT_BOUND
-) -> ThresholdFunction | None:
-    """Minimum-weight-sum realization of tt, or None if not threshold
-    within the weight bound.  Weights for negative-unate inputs come back
-    negative; unused inputs get weight zero."""
+def check_threshold(tt: TruthTable) -> ThresholdFunction | None:
+    """Minimum-weight-sum realization of tt, or None if not threshold.
+    Weights for negative-unate inputs come back negative; unused inputs get
+    weight zero."""
     if tt.n > _SOLVER_MAX_INPUTS:
         raise ValueError(f"solver handles n <= {_SOLVER_MAX_INPUTS}, got {tt.n}")
-    if weight_bound < 1:
-        raise ValueError("weight_bound must be >= 1")
 
     if Polarity.NONUNATE in unateness(tt):
         return None
@@ -141,7 +150,8 @@ def check_threshold(
     chow = chow_parameters(reduced)
     order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
     key = permute_inputs(reduced, order).bits
-    total = _sorted_tables(reduced.n, weight_bound).get(key)
+    bound = _MAX_WEIGHT[reduced.n]
+    total = _sorted_tables(reduced.n, bound).get(key)
     if total is None:
         return None
 
@@ -149,9 +159,8 @@ def check_threshold(
     # blocks by the first weight, the rest read from the cached table.
     on = np.array([bool(reduced.value(m)) for m in range(reduced.size)])
     on_0, on_1 = on[0::2], on[1::2]  # minterms with x_1 = 0 and x_1 = 1
-    for first in _first_weights(total, reduced.n, weight_bound):
-        rows, scores = _composition_table(total - first, reduced.n - 1,
-                                          weight_bound)
+    for first in _first_weights(total, reduced.n, bound):
+        rows, scores = _composition_table(total - first, reduced.n - 1, bound)
         # Positive and non-constant: minterm 0 is off, all-ones is on.
         # Sums in int64, since the table's dtype may not hold them.
         max_off = scores[:, ~on_0].max(axis=1).astype(np.int64)
@@ -172,15 +181,21 @@ def check_threshold(
     raise RuntimeError(f"{tt} has no weight-sum {total} realization")
 
 
-def count_threshold_functions(n: int, weight_bound: int = DEFAULT_WEIGHT_BOUND) -> int:
+def count_threshold_functions(n: int) -> int:
     """Count the truth tables on exactly n inputs (unused variables allowed)
-    that are linearly separable, by exhaustive scan."""
-    if n > 4:
-        raise ValueError("exhaustive scan limited to n <= 4")
-    return sum(
-        check_threshold(TruthTable(n, bits), weight_bound) is not None
-        for bits in range(1 << (1 << n))
-    )
+    that are linearly separable.  Each sorted table stands for its NP orbit:
+    n! / prod(g!) input orders, g running over the groups of inputs with
+    equal Chow parameters, times 2^|support| complementations.  Add the two
+    constants."""
+    if not 0 <= n <= _SOLVER_MAX_INPUTS:
+        raise ValueError(f"count handles 0 <= n <= {_SOLVER_MAX_INPUTS}, got {n}")
+    count = 2
+    for bits in _sorted_tables(n, _MAX_WEIGHT[n]):
+        tt = TruthTable(n, bits)
+        groups = Counter(chow_parameters(tt)).values()
+        orders = math.factorial(n) // math.prod(map(math.factorial, groups))
+        count += orders << len(project_to_support(tt)[1])
+    return count
 
 
 @lru_cache(maxsize=8)
@@ -222,21 +237,19 @@ class CatalogEntry:
         return self.table.to_hex()
 
 
-def build_catalog(
-    n_max: int = 5, weight_bound: int = DEFAULT_WEIGHT_BOUND
-) -> list[CatalogEntry]:
+def build_catalog(n_max: int = 5) -> list[CatalogEntry]:
     """One entry per NP-equivalence class of non-constant threshold
     functions of at most n_max variables, with minimal weights, sorted by
     (input count, canonical table) and indexed from 0."""
     if not 1 <= n_max <= 5:
         raise ValueError(f"catalog limited to 1 <= n_max <= 5, got {n_max}")
     reps = (canonicalize_np(project_to_support(TruthTable(n_max, bits))[0])
-            for bits in _sorted_tables(n_max, weight_bound))
+            for bits in _sorted_tables(n_max, _MAX_WEIGHT[n_max]))
     canon = {(rep.n, rep.bits) for rep in reps}
     entries = []
     for idx, (n, bits) in enumerate(sorted(canon)):
         tt = TruthTable(n, bits)
-        tf = check_threshold(tt, weight_bound)
+        tf = check_threshold(tt)
         if tf is None:
             raise RuntimeError(f"catalog table {tt} lost its realization")
         entries.append(CatalogEntry(idx, n, tt, tf))

@@ -1,5 +1,6 @@
 """Cone replacement, cost accounting, and co-simulation equivalence."""
 
+import copy
 import io
 from dataclasses import replace
 
@@ -36,8 +37,10 @@ def test_hybrid_two_replacements(catalog):
 
 def test_hybrid_cost_accounting_exact(catalog):
     nl = load("fig2_hybrid.blif")
+    before = copy.deepcopy(nl)
     cost = CostModel()
     design = map_ftl(nl, cost=cost, catalog=catalog)
+    assert (nl.gates, nl.latches) == (before.gates, before.latches)
     removed_gates = set(nl.gates) - set(design.netlist.gates)
     removed_area = sum(cost.gate_area(nl.gates[g]) for g in removed_gates)
     removed_area += cost.dff_area * len(design.instances)

@@ -1,4 +1,4 @@
-"""Post-fab programmer: erase, pulse planning, quantization, addressing."""
+"""Post-fab programmer: erase, pulse planning, quantization."""
 
 import io
 
@@ -6,10 +6,8 @@ import pytest
 
 from ftl.analysis import margin_schedule
 from ftl.device import DeviceParams, verify_cell
-from ftl.program import (ArrayConfig, ChipAddress, ProgrammerConfig,
-                         apply_schedule, decode_address, encode_address,
-                         erase_block, plan_program, program_cell,
-                         write_schedule_csv)
+from ftl.program import (ProgrammerConfig, apply_schedule, erase_block,
+                         plan_program, program_cell, write_schedule_csv)
 from ftl.threshold import build_catalog, f115_table
 from ftl.train import train
 from ftl.truthtable import parse_truth_table, to_positive_form
@@ -107,31 +105,6 @@ def test_quantized_catalog_functions_verify():
         top = margin_schedule(positive, margin_step=0.04, max_margin=0.2)[-1]
         quantized = program_cell(top.result.cell, CFG)
         assert verify_cell(quantized, positive), e.index
-
-
-def test_address_round_trip_exhaustive():
-    cfg = ArrayConfig(n_cells=8, n_devices=7)
-    assert cfg.frame_bits == 6
-    for word in range(1 << cfg.frame_bits):
-        bits = format(word, f"0{cfg.frame_bits}b")
-        try:
-            addr = decode_address(bits, cfg)
-        except ValueError:
-            continue  # device index out of range for 7-device rows
-        assert encode_address(addr, cfg) == bits
-
-
-def test_address_all_zero():
-    cfg = ArrayConfig(n_cells=8, n_devices=7)
-    assert decode_address("000000", cfg) == ChipAddress(0, 0)
-
-
-def test_address_out_of_range():
-    cfg = ArrayConfig(n_cells=8, n_devices=7)
-    with pytest.raises(ValueError):
-        decode_address("000111", cfg)  # device 7 beyond the 7-device row
-    with pytest.raises(ValueError):
-        decode_address("0000000", cfg)  # wrong length
 
 
 def test_schedule_csv():

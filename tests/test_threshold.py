@@ -206,6 +206,29 @@ def test_count_n4():
     assert count_threshold_functions(4) == 1882
 
 
+A000609 = (2, 4, 14, 104, 1882, 94572, 15028134)  # indexed by input count
+
+
+def test_count_matches_a000609():
+    """The orbit sum over the capped tables reaches the known count of
+    threshold functions, so no function of n <= 6 inputs is missing."""
+    for n, known in enumerate(A000609):
+        assert count_threshold_functions(n) == known, n
+
+
+def test_capped_tables_equal_bound_16_tables():
+    for n in range(1, 7):
+        assert threshold._sorted_tables(n, threshold._MAX_WEIGHT[n]) == \
+            threshold._sorted_tables(n, 16), n
+
+
+def test_count_matches_exhaustive_scan_n_le_4():
+    for n in range(1, 5):
+        accepted = sum(check_threshold(TruthTable(n, bits)) is not None
+                       for bits in range(1 << (1 << n)))
+        assert accepted == count_threshold_functions(n), n
+
+
 def table6(f):
     return TruthTable(6, sum(1 << m for m in range(64)
                              if f([(m >> i) & 1 for i in range(6)])))
