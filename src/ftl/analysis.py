@@ -102,7 +102,7 @@ class ConductivityMap:
 def conductivity_map(cell: FtlCell, tt: TruthTable) -> ConductivityMap:
     """Nominal (no-variation) conductance pair of every minterm."""
     g_left, g_right = (g[0, :tt.size] for g in conductances(cell))
-    onset = np.array([tt.value(m) for m in range(tt.size)], dtype=bool)
+    onset = np.array(tt.values(), dtype=bool)
     records = [ConductivityRecord(m, float(gl), float(gr), bool(on))
                for m, (gl, gr, on) in enumerate(zip(g_left, g_right, onset))]
     on_sep = (g_left - g_right)[onset].min(initial=math.inf)

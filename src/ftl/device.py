@@ -4,8 +4,9 @@ The cell is reduced to a conductance comparison: for a minterm, the left
 network sums the branch conductances of inputs at 1 plus the left side
 device, the right network sums inputs at 0 plus the right side device.
 The output is 1 when G_L wins; the sense-amp resolution time is modeled
-as tau0 + tau1 / |G_L - G_R|.  Whole-table checks sum every minterm at
-once in the `conductances` kernel, adding devices in `evaluate`'s order.
+as tau0 + tau1 / |G_L - G_R|.  `respond` decides one minterm for `evaluate`
+and for the trainer, which builds conductances once per cell state;
+`conductances` sums all minterms at once in the same order.
 
 Branch conductance uses the alpha-power law g = k * max(0, Vgate - Vt)^alpha
 (alpha = 1.3), a stand-in for the saturation current of the flash device
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -207,6 +209,31 @@ def sense_delay(p: DeviceParams, gap: float) -> float:
     return math.inf if mag < METASTABLE_EPS else p.tau0 + p.tau1 / mag
 
 
+@lru_cache(maxsize=None)
+def _split(n: int) -> tuple:  # per minterm: (inputs at 1, inputs at 0)
+    return tuple((tuple(i for i in range(n) if (m >> i) & 1),
+                  tuple(i for i in range(n) if not (m >> i) & 1))
+                 for m in range(1 << n))
+
+
+def respond(g, minterm: int, margin: float = 0.0, kmult: float = 1.0):
+    """(y, metastable, G_L, G_R) of one minterm from branch conductances g
+    (inputs, then left and right side devices), adding inputs in ascending
+    order, then the side device, then scaling by k_mult."""
+    n = len(g) - 2
+    ones, zeros = _split(n)[minterm]
+    g_left = g_right = 0.0
+    for i in ones:
+        g_left += g[i]
+    for i in zeros:
+        g_right += g[i]
+    g_left = (g_left + g[n]) * kmult
+    g_right = (g_right + g[n + 1]) * kmult
+    gap = g_left - g_right
+    return (1 if gap > margin else 0, abs(gap - margin) < METASTABLE_EPS,
+            g_left, g_right)
+
+
 def evaluate(
     cell: FtlCell,
     minterm: int,
@@ -219,25 +246,15 @@ def evaluate(
     if not 0 <= minterm < (1 << cell.n):
         raise ValueError(f"minterm {minterm} out of range for n={cell.n}")
     g, kmult = _devices(cell, sample)
-    g_left = g_right = 0.0
-    for i in range(cell.n):
-        if (minterm >> i) & 1:
-            g_left += g[i]
-        else:
-            g_right += g[i]
-    g_left = (g_left + g[cell.n]) * kmult
-    g_right = (g_right + g[cell.n + 1]) * kmult
-
+    y, metastable, g_left, g_right = respond(g, minterm, margin, kmult)
     gap = g_left - g_right
-    metastable = abs(gap - margin) < METASTABLE_EPS
-    y = 1 if gap > margin else 0
     return EvalResult(y, g_left, g_right, gap, sense_delay(cell.params, gap),
                       metastable)
 
 
 def conductances(cell: FtlCell, samples=(None,)):
     """(G_L, G_R) of every minterm under each variation sample (None is
-    nominal), shaped [len(samples), 2^n].  Devices are added in evaluate's
+    nominal), shaped [len(samples), 2^n].  Devices are added in respond's
     order and scaled by k_mult last, so every entry equals evaluate's."""
     g, kmult = map(np.array, zip(*(_devices(cell, s) for s in samples)))
     n = cell.n
@@ -255,7 +272,7 @@ def minterm_checks(cell: FtlCell, tt: TruthTable, samples=(None,),
     """Per sample: which minterms miss tt under evaluate's margin rule or
     are metastable, [len(samples), tt.size], and the worst-case delay."""
     gap = np.subtract(*conductances(cell, samples))[:, :tt.size]
-    want = np.array([tt.value(m) for m in range(tt.size)], dtype=bool)
+    want = np.array(tt.values(), dtype=bool)
     handicap = np.where(want, margin, -margin)
     miss = (gap > handicap) != want
     miss |= np.abs(gap - handicap) < METASTABLE_EPS

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import FtlCell, evaluate
-from .netlist import Cut, Netlist, cut_function, enumerate_cuts, write_blif
+from .netlist import Netlist, cut_function, enumerate_cuts, write_blif
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
 from .truthtable import TruthTable, project_to_support, to_positive_form
 
@@ -209,8 +209,7 @@ def _instance_output(inst: FtlInstance, leaf_values: dict[str, int]) -> int:
         m |= leaf_values[leaf] << i
     if inst.cell is None:
         return inst.function.value(m)
-    r = evaluate(inst.cell, m ^ inst.polarity_mask)
-    return r.y
+    return evaluate(inst.cell, m ^ inst.polarity_mask).y
 
 
 def _simulate_mapped(design: MappedDesign, pi_values: dict[str, int],

@@ -240,10 +240,9 @@ def write_blif(nl: Netlist, extra_lines: list[str] | None = None) -> str:
     for name in sorted(nl.gates):
         g = nl.gates[name]
         out.append(".names " + " ".join(g.inputs) + f" {g.output}")
-        for m in range(g.table.size):
-            if g.table.value(m):
-                pattern = "".join(str((m >> i) & 1) for i in range(g.fanin))
-                out.append(f"{pattern} 1")
+        for m in g.table.onset():
+            pattern = "".join(str((m >> i) & 1) for i in range(g.fanin))
+            out.append(f"{pattern} 1")
     for line in extra_lines or []:
         out.append(line)
     out.append(".end")

@@ -59,18 +59,6 @@ class ThresholdFunction:
     weights: tuple[int, ...]
     threshold: int
 
-    def evaluate(self, minterm: int) -> int:
-        acc = 0
-        for i, w in enumerate(self.weights):
-            if (minterm >> i) & 1:
-                acc += w
-        return 1 if acc >= self.threshold else 0
-
-    def realizes(self, tt: TruthTable) -> bool:
-        if len(self.weights) != tt.n:
-            return False
-        return all(self.evaluate(m) == tt.value(m) for m in range(tt.size))
-
 
 def _minterm_matrix(n: int) -> np.ndarray:
     m = np.arange(1 << n)
@@ -157,7 +145,7 @@ def check_threshold(tt: TruthTable) -> ThresholdFunction | None:
 
     # First feasible vector at that sum in ascending lexicographic order:
     # blocks by the first weight, the rest read from the cached table.
-    on = np.array([bool(reduced.value(m)) for m in range(reduced.size)])
+    on = np.array(reduced.values(), dtype=bool)
     on_0, on_1 = on[0::2], on[1::2]  # minterms with x_1 = 0 and x_1 = 1
     for first in _first_weights(total, reduced.n, bound):
         rows, scores = _composition_table(total - first, reduced.n - 1, bound)
@@ -220,7 +208,7 @@ def canonicalize_np(tt: TruthTable) -> TruthTable:
     complementations (output polarity untouched)."""
     if tt.n > 5:
         raise ValueError("canonicalization limited to n <= 5")
-    bits = np.array([tt.value(m) for m in range(tt.size)], dtype=np.int64)
+    bits = np.array(tt.values(), dtype=np.int64)
     idx = _np_transform_indices(tt.n)
     packed = bits[idx] @ (np.int64(1) << np.arange(tt.size, dtype=np.int64))
     return TruthTable(tt.n, int(packed.min()))
@@ -267,10 +255,7 @@ def write_catalog_csv(entries: list[CatalogEntry], fp) -> None:
 
 
 def f115_table() -> TruthTable:
-    """ab + ac + ad + ae on five inputs (a = x_1); realization [4,1,1,1,1; 5]."""
-    bits = 0
-    for m in range(32):
-        if (m & 1) and (m & 0b11110):
-            bits |= 1 << m
-    return TruthTable(5, bits)
+    """ab + ac + ad + ae on five inputs (a = x_1); realization [4,1,1,1,1; 5].
+    Its on-set is every odd minterm but 1."""
+    return TruthTable(5, 0xAAAAAAA8)
 

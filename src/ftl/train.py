@@ -12,7 +12,9 @@ can cancel exactly across an epoch (e.g. the 1-vs-4 weighted function of
 five inputs) and the loop then cycles forever.
 
 Correctness flows solely through the device-model oracle; the weight
-vector of the target function is never consulted during updates.
+vector of the target function is never consulted during updates.  Branch
+conductances are built once per cell state (an update recomputes the ones
+it moves) and `device.respond` decides each minterm exactly as `evaluate`.
 
 Every attempt stops for one of three reasons, reported as
 TrainResult.stop_reason:
@@ -30,10 +32,13 @@ TrainResult.stop_reason:
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .device import DeviceParams, FtlCell, evaluate, verify_cell
+from .device import (DeviceParams, FtlCell, branch_conductance, respond,
+                     verify_cell)
 from .truthtable import TruthTable
 
 
@@ -68,6 +73,10 @@ class TraceEntry:
     reason: str  # "eq2" | "fallback_vr" | "fallback_vl"
 
 
+# One try of `train`: its start and why it stopped.
+Attempt = namedtuple("Attempt", "init_vt side stop_reason iterations epochs")
+
+
 @dataclass
 class TrainResult:
     cell: FtlCell
@@ -77,6 +86,7 @@ class TrainResult:
     active_side: str
     trace: list[TraceEntry] = field(default_factory=list)
     stop_reason: str = "converged"  # "converged" | "cycle" | "bound"
+    attempts: list[Attempt] = field(default_factory=list)  # set by train
 
 
 def kmax_bound(n: int, delta: float, vdd: float) -> int:
@@ -104,79 +114,68 @@ def _train_from(
     config: TrainConfig,
     side: str,
 ) -> TrainResult:
-    p = cell.params
+    p, n = cell.params, tt.n
     delta = config.delta if config.delta is not None else p.delta
     bound = (config.max_iterations if config.max_iterations is not None
-             else kmax_bound(tt.n, delta, p.vdd))
+             else kmax_bound(n, delta, p.vdd))
+    lo, hi = p.vt_min, p.vt_max
     h = config.handicap_margin
-    vt = list(cell.vt)
-    vl, vr = cell.v_left, cell.v_right
+    v = list(cell.all_vt())  # inputs, then the left and right side devices
+    g = [branch_conductance(x, p) for x in v]  # kept in step with v
+    names = [f"v{i + 1}" for i in range(n)] + ["vl", "vr"]
     trace: list[TraceEntry] = []
-    iterations = 0
-    epochs = 0
+    iterations = epochs = 0
     seen: set[tuple] = set()
 
-    def record(minterm, device, old, new, reason):
-        if config.record_trace and new != old:
-            trace.append(TraceEntry(iterations, epochs, minterm, device,
-                                    old, new, reason))
+    def move(i, step, minterm, reason) -> bool:
+        old = v[i]
+        v[i] = step(old, delta, lo, hi)
+        if v[i] == old:
+            return False
+        g[i] = branch_conductance(v[i], p)
+        if config.record_trace:
+            trace.append(TraceEntry(iterations, epochs, minterm, names[i],
+                                    old, v[i], reason))
+        return True
 
-    def stop(reason):
-        return TrainResult(FtlCell(tt.n, tuple(vt), vl, vr, p), False,
-                           iterations, epochs, side, trace, reason)
+    def result(converged, reason):
+        out = FtlCell(n, tuple(v[:n]), v[n], v[n + 1], p)
+        return TrainResult(out, converged, iterations, epochs, side, trace,
+                           reason)
 
+    wants = tt.values()
+    margins = [h if want else -h for want in wants]
     while True:
-        state = (tuple(vt), vl, vr)
+        state = tuple(v)
         if state in seen:
-            return stop("cycle")
+            return result(False, "cycle")
         seen.add(state)
         epochs += 1
-        clean = True
-        cur = FtlCell(tt.n, tuple(vt), vl, vr, p)
-        for m in range(tt.size):
-            want = tt.value(m)
-            r = evaluate(cur, m, h if want else -h)
-            if r.y == want and not r.metastable:
+        before = iterations
+        for m, want in enumerate(wants):
+            y, metastable, _, _ = respond(g, m, margins[m])
+            if y == want and not metastable:
                 continue
-            clean = False
             iterations += 1
-            for i in range(tt.n):
-                if not (m >> i) & 1:
-                    continue
-                old = vt[i]
-                step = _step_down if want else _step_up
-                vt[i] = step(old, delta, p.vt_min, p.vt_max)
-                if vt[i] != old:
-                    record(m, f"v{i + 1}", old, vt[i], "eq2")
-            if want:
-                new = _step_up(vr, delta, p.vt_min, p.vt_max)
-                if new != vr:
-                    record(m, "vr", vr, new, "fallback_vr")
-                    vr = new
-                else:
-                    new = _step_down(vl, delta, p.vt_min, p.vt_max)
-                    record(m, "vl", vl, new, "fallback_vl")
-                    vl = new
-            else:
-                new = _step_up(vl, delta, p.vt_min, p.vt_max)
-                if new != vl:
-                    record(m, "vl", vl, new, "fallback_vl")
-                    vl = new
-                else:
-                    new = _step_down(vr, delta, p.vt_min, p.vt_max)
-                    record(m, "vr", vr, new, "fallback_vr")
-                    vr = new
-            cur = FtlCell(tt.n, tuple(vt), vl, vr, p)
+            step = _step_down if want else _step_up
+            for i in range(n):
+                if (m >> i) & 1:
+                    move(i, step, m, "eq2")
+            # Bias: weaken the side device that opposes want or, once it
+            # clamps, strengthen the other one.
+            up, down = (n + 1, n) if want else (n, n + 1)
+            if not move(up, _step_up, m, "fallback_" + names[up]):
+                move(down, _step_down, m, "fallback_" + names[down])
             if iterations > bound:
-                return stop("bound")
-        if clean:
+                return result(False, "bound")
+        if iterations == before:
             break
 
-    out = FtlCell(tt.n, tuple(vt), vl, vr, p)
+    out = result(True, "converged")
     # Convergence certificate, independent of the training loop.
-    if not verify_cell(out, tt, h):
+    if not verify_cell(out.cell, tt, h):
         raise TrainingError("converged cell failed re-verification")
-    return TrainResult(out, True, iterations, epochs, side, trace)
+    return out
 
 
 def train(
@@ -193,13 +192,16 @@ def train(
     # dead-end from the midpoint start: the inputs saturate at vt_min before
     # the side device wins the race, leaving an incorrect fixed point.  A
     # weaker-input start (higher init Vt) avoids it, so retry up the ladder.
-    result = None
-    for init_vt in (params.vdd / 2, round(params.vdd * 7 / 9, 6)):
-        for side in sides:
-            cell = FtlCell.fresh(tt.n, params, init_vt, side)
-            result = _train_from(cell, tt, config, side)
-            if result.converged:
-                return result
+    attempts: list[Attempt] = []
+    ladder = (params.vdd / 2, round(params.vdd * 7 / 9, 6))
+    for init_vt, side in itertools.product(ladder, sides):
+        cell = FtlCell.fresh(tt.n, params, init_vt, side)
+        result = _train_from(cell, tt, config, side)
+        attempts.append(Attempt(init_vt, side, result.stop_reason,
+                                result.iterations, result.epochs))
+        if result.converged:
+            break
+    result.attempts = attempts
     return result
 
 

@@ -41,11 +41,15 @@ class TruthTable:
     def value(self, minterm: int) -> int:
         return (self.bits >> minterm) & 1
 
+    def values(self) -> list[int]:
+        """[f(0), f(1), ..., f(2^n - 1)]."""
+        return [(self.bits >> m) & 1 for m in range(self.size)]
+
     def onset(self):
-        return [m for m in range(self.size) if self.value(m)]
+        return [m for m, v in enumerate(self.values()) if v]
 
     def offset(self):
-        return [m for m in range(self.size) if not self.value(m)]
+        return [m for m, v in enumerate(self.values()) if not v]
 
     def is_constant(self) -> bool:
         return self.bits == 0 or self.bits == (1 << self.size) - 1
@@ -116,15 +120,16 @@ def apply_complements(tt: TruthTable, mask: int) -> TruthTable:
 
 
 def permute_inputs(tt: TruthTable, perm: tuple[int, ...]) -> TruthTable:
-    """Relabel inputs: new variable j reads old variable perm[j]."""
+    """Relabel inputs: new variable j reads old variable perm[j].  With
+    fewer entries than inputs, the inputs left out read 0."""
     bits = 0
-    for m in range(tt.size):
+    for m in range(1 << len(perm)):
         src = 0
-        for j in range(tt.n):
+        for j, var in enumerate(perm):
             if (m >> j) & 1:
-                src |= 1 << perm[j]
+                src |= 1 << var
         bits |= tt.value(src) << m
-    return TruthTable(tt.n, bits)
+    return TruthTable(len(perm), bits)
 
 
 def to_positive_form(tt: TruthTable) -> tuple[TruthTable, int]:
@@ -155,11 +160,4 @@ def project_to_support(tt: TruthTable) -> tuple[TruthTable, list[int]]:
     sup = support(tt)
     if not sup:
         return TruthTable(1, 0b11 if tt.value(0) else 0), []
-    bits = 0
-    for m in range(1 << len(sup)):
-        src = 0
-        for j, var in enumerate(sup):
-            if (m >> j) & 1:
-                src |= 1 << var
-        bits |= tt.value(src) << m
-    return TruthTable(len(sup), bits), sup
+    return permute_inputs(tt, tuple(sup)), sup

@@ -8,7 +8,7 @@ import pytest
 
 from ftl.device import (DeviceParams, FtlCell, VariationSample,
                         branch_conductance, conductances, evaluate,
-                        model_power, sample_variation, verify_cell,
+                        model_power, respond, sample_variation, verify_cell,
                         worst_case_delay)
 from ftl.threshold import f115_table
 from ftl.train import train
@@ -182,6 +182,22 @@ def test_conductances_equal_evaluate_bit_for_bit(n):
                                       s or VariationSample.identity(n))
                 assert (g_left[row, m], g_right[row, m]) == ref
                 assert (r.g_left, r.g_right) == ref
+
+
+def test_respond_on_nominal_branches_equals_evaluate():
+    """The trainer's path: branch conductances built once from the cell's
+    Vts, then one respond per minterm, reproduces evaluate exactly."""
+    rng = np.random.default_rng(7)
+    p = DeviceParams()
+    for n in range(1, 7):
+        vt = rng.uniform(p.vt_min, p.vt_max, n + 2)
+        cell = FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p)
+        g = [branch_conductance(v, p) for v in cell.all_vt()]
+        for m in range(1 << n):
+            for margin in (0.0, 0.01, -0.01):
+                r = evaluate(cell, m, margin)
+                assert respond(g, m, margin) == (r.y, r.metastable,
+                                                 r.g_left, r.g_right)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

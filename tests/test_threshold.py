@@ -15,6 +15,8 @@ from ftl.truthtable import (Polarity, TruthTable, apply_complements,
                             parse_truth_table, permute_inputs,
                             project_to_support, to_positive_form, unateness)
 
+from helpers import realizes
+
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
 XOR3 = parse_truth_table("96", 3)
@@ -62,7 +64,7 @@ def test_negative_weight_recovery():
     # f = a * !b: positive form AND2, so weights map back as (1, -1; T=0)
     tf = check_threshold(parse_truth_table("2", 2))
     assert tf is not None
-    assert tf.realizes(parse_truth_table("2", 2))
+    assert realizes(tf, parse_truth_table("2", 2))
     assert tf.weights[1] < 0
 
 
@@ -72,7 +74,7 @@ def test_soundness_exhaustive_n3():
         tt = TruthTable(3, bits)
         tf = check_threshold(tt)
         if tf is not None:
-            assert tf.realizes(tt)
+            assert realizes(tf, tt)
 
 
 def test_threshold_implies_unate_n3():
@@ -99,7 +101,7 @@ def test_minimality_by_lattice_scan_n3():
             hi = sum(max(w, 0) for w in ws)
             for t in range(lo, hi + 2):
                 cand = ThresholdFunction(ws, t)
-                assert not cand.realizes(tt), (tt.to_hex(), ws, t)
+                assert not realizes(cand, tt), (tt.to_hex(), ws, t)
 
 
 def test_count_n1():
@@ -150,7 +152,7 @@ def test_catalog_n5_has_117_classes():
 def test_catalog_entries_verify_and_are_canonical():
     entries = build_catalog(4)
     for e in entries:
-        assert e.function.realizes(e.table)
+        assert realizes(e.function, e.table)
         assert canonicalize_np(e.table) == e.table
         assert not e.table.is_constant()
 
@@ -254,7 +256,7 @@ def test_catalog_entries_survive_np_transforms():
             tt = apply_complements(permute_inputs(e.table, perm),
                                    rng.getrandbits(e.n))
             tf = check_threshold(tt)
-            assert tf is not None and tf.realizes(tt), (e.index, tt)
+            assert tf is not None and realizes(tf, tt), (e.index, tt)
             assert sum(abs(w) for w in tf.weights) == total, (e.index, tt)
 
 

@@ -1,16 +1,17 @@
 """Modified perceptron trainer: convergence, traces, bounds, robustness."""
 
 import io
-import math
 import sys
 
 import pytest
 
-from ftl.analysis import margin_schedule
-from ftl.device import DeviceParams, evaluate, verify_cell
+from ftl.analysis import (ROBUST_MARGIN_STEP, ROBUST_TRAIN_DELTA,
+                          margin_schedule)
+from ftl.device import DeviceParams, FtlCell, evaluate, verify_cell
 from ftl.threshold import build_catalog, check_threshold, f115_table
-from ftl.train import (TrainConfig, TrainingError, _train_from, kmax_bound,
-                       train, write_trace_csv)
+from ftl.train import (TraceEntry, TrainConfig, TrainingError, TrainResult,
+                       _step_down, _step_up, _train_from, kmax_bound, train,
+                       write_trace_csv)
 from ftl.truthtable import (Polarity, TruthTable, parse_truth_table,
                             to_positive_form, unateness)
 
@@ -49,6 +50,25 @@ def test_xor2_does_not_converge():
     assert again.stop_reason == "cycle"
 
 
+def test_attempts_and2_converges_first_try():
+    result = train(AND2)
+    assert [a.stop_reason for a in result.attempts] == ["converged"]
+    assert result.attempts[0] == (DeviceParams().vdd / 2, "right",
+                                  "converged", result.iterations,
+                                  result.epochs)
+
+
+def test_attempts_xor2_tries_every_start():
+    result = train(XOR2)
+    assert len(result.attempts) == 4
+    assert [a.stop_reason for a in result.attempts] == ["cycle"] * 4
+    assert [(a.init_vt, a.side) for a in result.attempts] == [
+        (0.45, "right"), (0.45, "left"), (0.7, "right"), (0.7, "left")]
+    last = result.attempts[-1]
+    assert (last.iterations, last.epochs) == (result.iterations,
+                                              result.epochs)
+
+
 def test_select_active_side_and2_is_right():
     # Side selection lives in train's auto mode: right side first.
     result = train(AND2)
@@ -71,10 +91,11 @@ def test_auto_side_reported():
     assert result.converged
 
 
-def test_every_attempt_stops_for_a_proven_reason():
+def test_every_attempt_stops_for_a_proven_reason(by_reference):
     """Over every 2- and 3-input table, training converges exactly on the
     positive-unate threshold functions, and every other attempt ends on a
-    repeated state rather than at the iteration bound."""
+    repeated state rather than at the iteration bound.  Each result equals
+    the reference loop's bit for bit."""
     for n in (2, 3):
         for bits in range(1 << (1 << n)):
             tt = TruthTable(n, bits)
@@ -85,6 +106,7 @@ def test_every_attempt_stops_for_a_proven_reason():
             assert result.converged == expect, (n, bits)
             if not result.converged:
                 assert result.stop_reason == "cycle", (n, bits)
+            assert result == by_reference(train, tt), (n, bits)
 
 
 def test_failed_certificate_raises(monkeypatch):
@@ -201,3 +223,125 @@ def test_trace_csv_format():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "iteration,epoch,minterm,device,old_vt,new_vt,reason"
     assert len(lines) == len(result.trace) + 1
+
+
+def _reference_train_from(cell, tt, config, side):
+    """The trainer loop with one `evaluate` per minterm on a cell rebuilt
+    after every update: the reference that `_train_from`, which builds the
+    branch conductances once per cell state, must match bit for bit."""
+    p = cell.params
+    delta = config.delta if config.delta is not None else p.delta
+    bound = (config.max_iterations if config.max_iterations is not None
+             else kmax_bound(tt.n, delta, p.vdd))
+    h = config.handicap_margin
+    vt = list(cell.vt)
+    vl, vr = cell.v_left, cell.v_right
+    trace = []
+    iterations = 0
+    epochs = 0
+    seen = set()
+
+    def record(minterm, device, old, new, reason):
+        if config.record_trace and new != old:
+            trace.append(TraceEntry(iterations, epochs, minterm, device,
+                                    old, new, reason))
+
+    def stop(reason):
+        return TrainResult(FtlCell(tt.n, tuple(vt), vl, vr, p), False,
+                           iterations, epochs, side, trace, reason)
+
+    while True:
+        state = (tuple(vt), vl, vr)
+        if state in seen:
+            return stop("cycle")
+        seen.add(state)
+        epochs += 1
+        clean = True
+        cur = FtlCell(tt.n, tuple(vt), vl, vr, p)
+        for m in range(tt.size):
+            want = tt.value(m)
+            r = evaluate(cur, m, h if want else -h)
+            if r.y == want and not r.metastable:
+                continue
+            clean = False
+            iterations += 1
+            for i in range(tt.n):
+                if not (m >> i) & 1:
+                    continue
+                old = vt[i]
+                step = _step_down if want else _step_up
+                vt[i] = step(old, delta, p.vt_min, p.vt_max)
+                if vt[i] != old:
+                    record(m, f"v{i + 1}", old, vt[i], "eq2")
+            if want:
+                new = _step_up(vr, delta, p.vt_min, p.vt_max)
+                if new != vr:
+                    record(m, "vr", vr, new, "fallback_vr")
+                    vr = new
+                else:
+                    new = _step_down(vl, delta, p.vt_min, p.vt_max)
+                    record(m, "vl", vl, new, "fallback_vl")
+                    vl = new
+            else:
+                new = _step_up(vl, delta, p.vt_min, p.vt_max)
+                if new != vl:
+                    record(m, "vl", vl, new, "fallback_vl")
+                    vl = new
+                else:
+                    new = _step_down(vr, delta, p.vt_min, p.vt_max)
+                    record(m, "vr", vr, new, "fallback_vr")
+                    vr = new
+            cur = FtlCell(tt.n, tuple(vt), vl, vr, p)
+            if iterations > bound:
+                return stop("bound")
+        if clean:
+            break
+
+    out = FtlCell(tt.n, tuple(vt), vl, vr, p)
+    if not verify_cell(out, tt, h):
+        raise TrainingError("converged cell failed re-verification")
+    return TrainResult(out, True, iterations, epochs, side, trace)
+
+
+@pytest.fixture
+def by_reference(monkeypatch):
+    """Run a training call with the reference loop in place of
+    `_train_from`, under every name it is looked up by."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as mp:
+            for module in ("ftl.train", "ftl.analysis"):
+                mp.setattr(sys.modules[module], "_train_from",
+                           _reference_train_from)
+            return fn(*args, **kwargs)
+    return run
+
+
+# TrainResult equality covers cell, converged, iterations, epochs,
+# active_side, trace, stop_reason and attempts.  The 2- and 3-input tables
+# are compared in test_every_attempt_stops_for_a_proven_reason.  Tracing
+# changes no decision, so the trace run also stands for the default
+# config; the slower configs take every third class to keep the suite fast.
+
+@pytest.mark.parametrize("cfg, stride", [
+    (TrainConfig(record_trace=True), 1),
+    (TrainConfig(delta=0.005, handicap_margin=0.04), 3),
+    (TrainConfig(max_iterations=40), 3),
+], ids=["trace", "handicap", "bound"])
+def test_matches_reference_catalog(by_reference, cfg, stride):
+    for e in build_catalog(5)[::stride]:
+        positive, _ = to_positive_form(e.table)
+        assert (train(positive, config=cfg)
+                == by_reference(train, positive, config=cfg)), e.index
+
+
+def test_matches_reference_margin_schedule(by_reference):
+    tt = f115_table()
+    levels = margin_schedule(tt)
+    assert len(levels) > 1
+    assert levels == by_reference(margin_schedule, tt)
+    # The attempt past the top level, which the schedule discards.
+    top = levels[-1]
+    cfg = TrainConfig(delta=ROBUST_TRAIN_DELTA, record_trace=True,
+                      handicap_margin=top.margin + ROBUST_MARGIN_STEP)
+    args = (top.result.cell, tt, cfg, top.result.active_side)
+    assert _train_from(*args) == _reference_train_from(*args)

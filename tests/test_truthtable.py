@@ -48,6 +48,14 @@ def test_onset_offset_partition():
     assert sorted(MAJ3.onset() + MAJ3.offset()) == list(range(8))
 
 
+def test_values_unpack_every_minterm():
+    rng = random.Random(5)
+    for n in range(1, 9):
+        tt = TruthTable(n, rng.getrandbits(1 << n))
+        assert tt.values() == [tt.value(m) for m in range(tt.size)]
+    assert MAJ3.values() == [0, 0, 0, 1, 0, 1, 1, 1]
+
+
 def test_unateness_and2():
     assert unateness(AND2) == [Polarity.POSITIVE, Polarity.POSITIVE]
 
