@@ -5,6 +5,9 @@ threshold cone functions; the cut with the greatest area saving (cone
 gates that become unreferenced, plus the flip-flop, minus one FTL cell)
 replaces the cone.  Negative-unate leaves are absorbed into the cell as
 complemented inputs.  Gates still fanning out elsewhere are kept.
+
+Equivalence is random multi-cycle co-simulation, then a word-parallel
+exhaustive single-cycle sweep: one step per side over every PI pattern.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import FtlCell, evaluate
-from .netlist import Netlist, cut_function, enumerate_cuts, write_blif
+from .netlist import (Netlist, _read, all_patterns, cut_function,
+                      enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
 from .truthtable import TruthTable, project_to_support, to_positive_form
 
@@ -145,6 +149,7 @@ def map_ftl(
     path_before = _worst_path(nl, cost, [])
     removed = 0
 
+    oracle = {}  # (n, bits) -> check_threshold's answer, for this call
     catalog_by_table = {}
     if catalog is not None:
         catalog_by_table = {(e.n, e.table.bits): e.index for e in catalog}
@@ -161,7 +166,9 @@ def map_ftl(
             if cut.trivial:
                 continue
             tt = cut_function(work, cut)
-            tf = check_threshold(tt)
+            if (tt.n, tt.bits) not in oracle:
+                oracle[tt.n, tt.bits] = check_threshold(tt)
+            tf = oracle[tt.n, tt.bits]
             if tf is None:
                 continue
             dead = _dead_gates(work, kept_leaves | set(cut.leaves),
@@ -203,27 +210,12 @@ def map_ftl(
     return MappedDesign(work, instances, summary)
 
 
-def _instance_output(inst: FtlInstance, leaf_values: dict[str, int]) -> int:
-    m = 0
-    for i, leaf in enumerate(inst.leaves):
-        m |= leaf_values[leaf] << i
+def _instance_table(inst: FtlInstance) -> int:
+    """Table bits of the instance over its leaves, as the cell computes."""
     if inst.cell is None:
-        return inst.function.value(m)
-    return evaluate(inst.cell, m ^ inst.polarity_mask).y
-
-
-def _simulate_mapped(design: MappedDesign, pi_values: dict[str, int],
-                     state: dict[str, int], order: list[str]
-                     ) -> tuple[dict[str, int], dict[str, int]]:
-    """One cycle of the residual netlist (topological order `order`) with
-    the FTL instance outputs as extra sources; instances reset to 0."""
-    sources = dict(pi_values)
-    for inst in design.instances:
-        sources[inst.q] = state.get(inst.q, 0)
-    values, next_state = design.netlist.step(sources, state, order)
-    for inst in design.instances:
-        next_state[inst.q] = _instance_output(inst, values)
-    return values, next_state
+        return inst.function.bits
+    return sum(evaluate(inst.cell, m ^ inst.polarity_mask).y << m
+               for m in range(1 << len(inst.leaves)))
 
 
 @dataclass
@@ -239,45 +231,51 @@ def verify_equivalence(
     cycles: int = 64,
     stimuli_seed: int = 0,
 ) -> EquivalenceReport:
-    """Cycle-by-cycle co-simulation on random multi-cycle stimuli plus
-    exhaustive single-cycle stimuli when the input count allows it."""
+    """Cycle-by-cycle co-simulation on random multi-cycle stimuli, then
+    every single-cycle input pattern from reset in one word-parallel step
+    when the input count allows it.  Latches are compared after the step;
+    FTL instances reset to 0.  A divergence names the first cycle, or the
+    lowest sweep pattern, and within it the first signal in sorted order."""
     pis = original.inputs
     watch = sorted(set(original.latches) | set(original.outputs))
-    checked = 0
+    program_o = original.program()
+    program_m = mapped.netlist.program()
+    instances = [(inst.q, inst.leaves, _instance_table(inst))
+                 for inst in mapped.instances]
 
-    def compare(cycle, vals_a, state_a, vals_b, state_b):
-        for sig in watch:
-            va = state_a.get(sig, vals_a.get(sig))
-            vb = state_b.get(sig, vals_b.get(sig))
-            if va != vb:
-                return (cycle, sig)
-        return None
+    def diffs(pi_values, state_o, state_m, ones):
+        """Step both designs: next states, per-watch difference words."""
+        vals_o, next_o = original.step(pi_values, state_o, program_o, ones)
+        sources = dict(pi_values)
+        for q, _, _ in instances:
+            sources[q] = state_m.get(q, 0)
+        vals_m, next_m = mapped.netlist.step(sources, state_m, program_m, ones)
+        for q, leaves, bits in instances:
+            next_m[q] = _read(bits, [vals_m[x] for x in leaves], ones)
+        vals_o.update(next_o)
+        vals_m.update(next_m)
+        return next_o, next_m, [vals_o[s] ^ vals_m[s] for s in watch]
 
-    order_o = original.topo_order()
-    order_m = mapped.netlist.topo_order()
-    rng = np.random.default_rng(stimuli_seed)
+    stimuli = np.random.default_rng(stimuli_seed).integers(
+        0, 2, size=(cycles, len(pis))).tolist()
     state_o: dict[str, int] = {}
     state_m: dict[str, int] = {}
-    for cycle in range(cycles):
-        pi_values = {pi: int(rng.integers(0, 2)) for pi in pis}
-        vals_o, state_o = original.step(pi_values, state_o, order_o)
-        vals_m, state_m = _simulate_mapped(mapped, pi_values, state_m, order_m)
-        checked += 1
-        div = compare(cycle, vals_o, state_o, vals_m, state_m)
-        if div:
-            return EquivalenceReport(False, checked, div)
+    for cycle, row in enumerate(stimuli):
+        state_o, state_m, d = diffs(dict(zip(pis, row)), state_o, state_m, 1)
+        for sig, differs in zip(watch, d):
+            if differs:
+                return EquivalenceReport(False, cycle + 1, (cycle, sig))
 
-    if len(pis) <= 10:
-        for m in range(1 << len(pis)):
-            pi_values = {pi: (m >> i) & 1 for i, pi in enumerate(pis)}
-            vals_o, next_o = original.step(pi_values, {}, order_o)
-            vals_m, next_m = _simulate_mapped(mapped, pi_values, {}, order_m)
-            checked += 1
-            div = compare(cycles + m, vals_o, next_o, vals_m, next_m)
-            if div:
-                return EquivalenceReport(False, checked, div)
-
-    return EquivalenceReport(True, checked)
+    if len(pis) > 10:
+        return EquivalenceReport(True, cycles)
+    ones, words = all_patterns(pis)
+    _, _, d = diffs(words, {}, {}, ones)
+    first = min((((w & -w).bit_length() - 1, i) for i, w in enumerate(d)
+                 if w), default=None)
+    if first is None:
+        return EquivalenceReport(True, cycles + (1 << len(pis)))
+    m, i = first
+    return EquivalenceReport(False, cycles + m + 1, (cycles + m, watch[i]))
 
 
 def export_mapped_blif(design: MappedDesign) -> str:

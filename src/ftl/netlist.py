@@ -1,16 +1,21 @@
 """Gate-level sequential netlists: a BLIF subset parser, cycle-accurate
 simulation, k-feasible cut enumeration, and cone truth-table extraction.
 
+Simulation runs one gate program, `Netlist.program()`: (net, inputs,
+table bits) per gate in topological order.  Each net value is a word with
+one pattern per bit of a mask `ones`, so one pass evaluates one pattern or
+all 2^n assignments of n sources, as `cut_function` does for a cone.
+
 Supported BLIF directives: .model, .inputs, .outputs, .names (single
 output cover), .latch (D flip-flop), .end.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 
-from .truthtable import TruthTable
+from .truthtable import TruthTable, _low_halves
 
 
 class NetlistError(Exception):
@@ -26,12 +31,6 @@ class Gate:
     @property
     def fanin(self) -> int:
         return len(self.inputs)
-
-    def eval(self, values: dict[str, int]) -> int:
-        m = 0
-        for i, net in enumerate(self.inputs):
-            m |= values[net] << i
-        return self.table.value(m)
 
 
 @dataclass
@@ -100,24 +99,45 @@ class Netlist:
                         stack.append((dep, False))
         return order
 
-    def eval_comb(self, pi_values: dict[str, int], state: dict[str, int],
-                  order: list[str] | None = None) -> dict[str, int]:
-        """Net values for one cycle.  Latches absent from state read their
-        init value; `order` is this netlist's `topo_order()`, computed here
-        when not given."""
-        values = dict(pi_values)
-        for q, l in self.latches.items():
-            values[q] = state.get(q, l.init)
-        for net in self.topo_order() if order is None else order:
-            values[net] = self.gates[net].eval(values)
-        return values
+    def program(self, within: Collection[str] | None = None
+                ) -> list[tuple[str, list[str], int]]:
+        """(net, inputs, table bits) per gate of `topo_order(within)`."""
+        return [(net, self.gates[net].inputs, self.gates[net].table.bits)
+                for net in self.topo_order(within)]
 
     def step(self, pi_values: dict[str, int], state: dict[str, int],
-             order: list[str] | None = None
+             program: list, ones: int = 1
              ) -> tuple[dict[str, int], dict[str, int]]:
-        """One clock cycle: returns (net values, next latch state)."""
-        values = self.eval_comb(pi_values, state, order)
+        """One clock cycle of this netlist's `program()`: returns (net
+        values, next latch state).  Each value is a word with one pattern
+        per bit of `ones`; a latch absent from state reads init in each."""
+        values = dict(pi_values)
+        for q, l in self.latches.items():
+            values[q] = state.get(q, l.init * ones)
+        for net, inputs, bits in program:
+            values[net] = _read(bits, [values[x] for x in inputs], ones)
         return values, {q: values[l.d] for q, l in self.latches.items()}
+
+
+def _read(bits: int, words: list[int], ones: int) -> int:
+    """The table `bits` (x_1 = words[0]) read at every pattern of `ones`:
+    a lookup for one pattern, else a mux tree with x_1 innermost."""
+    if ones == 1:
+        m = 0
+        for i, w in enumerate(words):
+            m |= w << i
+        return (bits >> m) & 1
+    level = [ones if (bits >> m) & 1 else 0 for m in range(1 << len(words))]
+    for w in words:
+        level = [lo ^ (lo ^ hi) & w for lo, hi in zip(level[::2], level[1::2])]
+    return level[0]
+
+
+def all_patterns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
+    """(ones, words) for all 2^len(names) assignments at once: pattern m
+    sets names[i] to bit i of m."""
+    ones = (1 << (1 << len(names))) - 1
+    return ones, {x: ones ^ low for x, low in zip(names, _low_halves(len(names)))}
 
 
 def _cover_to_table(inputs: list[str], cover: list[tuple[str, str]]) -> TruthTable:
@@ -132,30 +152,18 @@ def _cover_to_table(inputs: list[str], cover: list[tuple[str, str]]) -> TruthTab
     # BLIF covers are either all-1 (on-set given) or all-0 (off-set given).
     if "0" in out_vals and "1" in out_vals:
         raise NetlistError("mixed on-set/off-set cover")
-    onset_given = "0" not in out_vals
+    ones = (1 << (1 << n)) - 1
     bits = 0
-    for m in range(1 << n):
-        hit = False
-        for pattern, _ in cover:
-            if len(pattern) != n:
-                raise NetlistError(f"cover row {pattern!r} width mismatch")
-            ok = True
-            for i, c in enumerate(pattern):
-                b = (m >> i) & 1
-                if c == "-":
-                    continue
-                if c not in "01":
-                    raise NetlistError(f"bad cover character {c!r}")
-                if b != int(c):
-                    ok = False
-                    break
-            if ok:
-                hit = True
-                break
-        value = hit if onset_given else not hit
-        if value:
-            bits |= 1 << m
-    return TruthTable(n, bits)
+    for pattern, _ in cover:  # each row is the AND of its projection words
+        if len(pattern) != n:
+            raise NetlistError(f"cover row {pattern!r} width mismatch")
+        row = ones
+        for c, low in zip(pattern, _low_halves(n)):
+            if c not in "01-":
+                raise NetlistError(f"bad cover character {c!r}")
+            row &= {"0": low, "1": ones ^ low}.get(c, ones)
+        bits |= row
+    return TruthTable(n, ones ^ bits if "0" in out_vals else bits)
 
 
 def parse_blif(text: str) -> Netlist:
@@ -317,18 +325,12 @@ def enumerate_cuts(nl: Netlist, root: str, k: int = 5) -> list[Cut]:
 
 
 def cut_function(nl: Netlist, cut: Cut) -> TruthTable:
-    """Truth table of the root in terms of the (sorted) leaves, by
-    exhaustive cone simulation; x_1 = first leaf."""
+    """Truth table of the root in terms of the (sorted) leaves, by one
+    word-parallel pass over the cone; x_1 = first leaf."""
     leaves = cut.leaves
     if len(leaves) > 6:
         raise ValueError("cone simulation limited to 6 leaves")
-    if cut.trivial:
-        return TruthTable(1, 0b10)
-    order = nl.topo_order(cut.gates)
-    bits = 0
-    for m in range(1 << len(leaves)):
-        values = {leaf: (m >> i) & 1 for i, leaf in enumerate(leaves)}
-        for net in order:
-            values[net] = nl.gates[net].eval(values)
-        bits |= values[cut.root] << m
-    return TruthTable(len(leaves), bits)
+    ones, values = all_patterns(leaves)
+    for net, inputs, bits in nl.program(cut.gates):
+        values[net] = _read(bits, [values[x] for x in inputs], ones)
+    return TruthTable(len(leaves), values[cut.root])

@@ -7,11 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftl.mapping import (CostModel, _instance_output, export_mapped_blif,
-                         map_ftl, verify_equivalence, write_cost_csv)
+from ftl.mapping import (CostModel, export_mapped_blif, map_ftl,
+                         verify_equivalence, write_cost_csv)
 from ftl.netlist import parse_blif
 from ftl.threshold import build_catalog, f115_table
 from ftl.train import train
+from ftl.truthtable import TruthTable
+from helpers import scalar_step
 
 CORPUS = "src/ftl/corpus"
 
@@ -105,47 +107,43 @@ def test_corrupted_weight_diverges(catalog):
 
 
 def reference_report(original, design, cycles=64, seed=0):
-    """(equivalent, cycles_checked, first_divergence) from a loop over
-    per-call Netlist.step, each call sorting its netlist again."""
-    nl = design.netlist
-
-    def mapped_step(pi_values, state):
-        values = dict(pi_values)
-        for q, l in nl.latches.items():
-            values[q] = state.get(q, l.init)
-        for inst in design.instances:
-            values[inst.q] = state.get(inst.q, 0)
-        for net in nl.topo_order():
-            values[net] = nl.gates[net].eval(values)
-        nxt = {q: values[l.d] for q, l in nl.latches.items()}
-        for inst in design.instances:
-            nxt[inst.q] = _instance_output(inst, values)
-        return values, nxt
-
+    """(equivalent, cycles_checked, first_divergence) from scalar steps:
+    one stimulus draw per call, then one sweep pattern at a time."""
     watch = sorted(set(original.latches) | set(original.outputs))
 
     def diverges(cycle, va, sa, vb, sb):
         return next(((cycle, s) for s in watch
                      if sa.get(s, va.get(s)) != sb.get(s, vb.get(s))), None)
 
+    def both(pi_values, so, sm):
+        return (*scalar_step(original, pi_values, so),
+                *scalar_step(design.netlist, pi_values, sm, design.instances))
+
     pis = original.inputs
     rng = np.random.default_rng(seed)
     so, sm, checked = {}, {}, 0
     for cycle in range(cycles):
         pi_values = {pi: int(rng.integers(0, 2)) for pi in pis}
-        vo, so = original.step(pi_values, so)
-        vm, sm = mapped_step(pi_values, sm)
+        vo, so, vm, sm = both(pi_values, so, sm)
         checked += 1
         if div := diverges(cycle, vo, so, vm, sm):
             return False, checked, div
     for m in range(1 << len(pis)) if len(pis) <= 10 else ():
         pi_values = {pi: (m >> i) & 1 for i, pi in enumerate(pis)}
-        vo, no = original.step(pi_values, {})
-        vm, nm = mapped_step(pi_values, {})
         checked += 1
-        if div := diverges(cycles + m, vo, no, vm, nm):
+        if div := diverges(cycles + m, *both(pi_values, {}, {})):
             return False, checked, div
     return True, checked, None
+
+
+def flip_minterms(design, flips):
+    """The design with instance i's cone function flipped at minterm
+    flips[i] (None leaves it alone)."""
+    instances = [inst if m is None else replace(
+        inst, function=TruthTable(inst.function.n,
+                                  inst.function.bits ^ (1 << m)))
+        for inst, m in zip(design.instances, flips)]
+    return replace(design, instances=instances)
 
 
 def test_verdicts_match_per_call_step(catalog):
@@ -167,14 +165,48 @@ def test_verdicts_match_per_call_step(catalog):
     nl = parse_blif(text)
     cases.append((nl, map_ftl(nl, catalog=catalog)))
     assert len(cases[-1][1].instances) == 1
+    # A PI read through an inverter: the trained cell takes that leaf
+    # complemented.
+    text = open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+        ".inputs a ", ".inputs an ").replace(".end", ".names an a\n0 1\n.end")
+    nl = parse_blif(text)
+    design = map_ftl(nl, trainer_hook=trainer_hook, catalog=catalog)
+    assert design.instances[0].polarity_mask == 1
+    assert design.instances[0].cell is not None
+    cases.append((nl, design))
+    # fig2_hybrid's cells: fq = MAJ(c1, c2, p5), gq = MAJ(c2, p5, p6), with
+    # c1 = p1 + p2 and c2 = p3 p4; sweep pattern m sets p_i to bit i-1.
+    nl = load("fig2_hybrid.blif")
+    design = map_ftl(nl, catalog=catalog)
+    # fq wrong at c1 c2 p5 = 111 (first at pattern 29), gq at c2 p5 p6 =
+    # 110 (pattern 28): the lower pattern wins over the earlier signal.
+    cases.append((nl, flip_minterms(design, [7, 3])))
+    # fq wrong at c1 c2 p5 = 011, also pattern 28: the tie goes to fq.
+    cases.append((nl, flip_minterms(design, [6, 3])))
+    # With cycles=0 every divergence is found by the sweep.
     for nl, design in cases:
-        for seed in (0, 5):
-            report = verify_equivalence(nl, design, stimuli_seed=seed)
-            assert (report.equivalent, report.cycles_checked,
-                    report.first_divergence) == \
-                reference_report(nl, design, seed=seed), nl.model
+        for cycles in (0, 64):
+            for seed in (0, 5):
+                report = verify_equivalence(nl, design, cycles, seed)
+                assert (report.equivalent, report.cycles_checked,
+                        report.first_divergence) == \
+                    reference_report(nl, design, cycles, seed), nl.model
     assert [reference_report(*case)[0] for case in cases] == \
-        [True, True, True, False, False]
+        [True, True, True, False, False, True, False, False]
+    assert [verify_equivalence(nl, design, 0).first_divergence
+            for nl, design in cases[-2:]] == [(28, "gq"), (28, "fq")]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stimulus_matrix_equals_per_call_stream(seed):
+    """One integers() call for the whole [cycles, PIs] matrix draws the
+    stream that one call per stimulus bit draws."""
+    for n_pis in range(1, 11):
+        rng = np.random.default_rng(seed)
+        per_call = [[int(rng.integers(0, 2)) for _ in range(n_pis)]
+                    for _ in range(64)]
+        matrix = np.random.default_rng(seed).integers(0, 2, size=(64, n_pis))
+        assert matrix.tolist() == per_call, n_pis
 
 
 def test_pruning_keeps_best_choice(catalog):

@@ -1,11 +1,15 @@
 """BLIF parsing, cut enumeration, and cone function extraction."""
 
+import numpy as np
 import pytest
 
-from ftl.netlist import (NetlistError, cut_function, enumerate_cuts,
-                         parse_blif, write_blif)
+from ftl.netlist import (NetlistError, all_patterns, cut_function,
+                         enumerate_cuts, parse_blif, write_blif)
 from ftl.threshold import f115_table
 from ftl.truthtable import parse_truth_table
+from helpers import gate_eval, scalar_step
+
+CORPUS = ("fig2_hybrid", "f115_nandinv", "xor_ring")
 
 TWO_GATE = """\
 .model two
@@ -122,11 +126,47 @@ def test_write_parse_round_trip():
 
 def test_eval_and_step():
     nl = parse_blif(LATCHED)
-    state = {"q": 0}
-    nets = nl.eval_comb({"a": 1, "b": 1}, state)
+    nets, new_state = nl.step({"a": 1, "b": 1}, {"q": 0}, nl.program())
     assert nets["d"] == 1
-    _, new_state = nl.step({"a": 1, "b": 1}, state)
     assert new_state["q"] == 1
+
+
+# Asymmetric gates (a mux, an and-not) and a reset-to-1 latch.
+MUX_LATCH = """\
+.model mux
+.inputs s a b
+.outputs y q
+.names s a b y
+01- 1
+1-1 1
+.names y q d
+10 1
+.latch d q re clk 1
+.end
+"""
+
+
+@pytest.mark.parametrize("name", CORPUS + ("mux_latch",))
+def test_word_step_equals_scalar_steps(name):
+    """A step over all 2^|PI| patterns at once gives, bit m of every net
+    and next-state word, what a scalar step of pattern m gives: from reset
+    and from one seeded random state."""
+    nl = parse_blif(MUX_LATCH if name == "mux_latch" else
+                    open(f"src/ftl/corpus/{name}.blif").read())
+    ones, words = all_patterns(nl.inputs)
+    assert ones == (1 << (1 << len(nl.inputs))) - 1
+    rng = np.random.default_rng(0)
+    drawn = {q: int(rng.integers(0, 2)) for q in sorted(nl.latches)}
+    program = nl.program()
+    for state in ({}, drawn):
+        values, nxt = nl.step(words, {q: v * ones for q, v in state.items()},
+                              program, ones)
+        for m in range(1 << len(nl.inputs)):
+            pi_values = {x: (m >> i) & 1 for i, x in enumerate(nl.inputs)}
+            want_values, want_next = scalar_step(nl, pi_values, state)
+            assert {net: (w >> m) & 1 for net, w in values.items()} == \
+                want_values, (name, m)
+            assert {q: (w >> m) & 1 for q, w in nxt.items()} == want_next
 
 
 def test_trivial_cut_only_for_pi_root():
@@ -196,7 +236,7 @@ def test_cone_order_gives_whole_netlist_order_table():
     """cut_function sorts only the cone; every cut of every latch cone in
     the corpus gets the table a whole-netlist order gives."""
     checked = 0
-    for name in ("fig2_hybrid", "f115_nandinv", "xor_ring"):
+    for name in CORPUS:
         nl = parse_blif(open(f"src/ftl/corpus/{name}.blif").read())
         whole = nl.topo_order()
         for latch in nl.latches.values():
@@ -211,8 +251,17 @@ def test_cone_order_gives_whole_netlist_order_table():
                               for i, leaf in enumerate(cut.leaves)}
                     for net in whole:
                         if net in cut.gates:
-                            values[net] = nl.gates[net].eval(values)
+                            values[net] = gate_eval(nl.gates[net], values)
                     bits |= values[cut.root] << m
                 assert cut_function(nl, cut).bits == bits, (name, cut.leaves)
                 checked += 1
     assert checked > 20
+
+
+def test_parse_rejects_bad_row_behind_full_row():
+    """Every cover row is checked, also one after a row that already
+    covers every minterm."""
+    for row in ("1x 1", "111 1"):
+        with pytest.raises(NetlistError):
+            parse_blif(f".model f\n.inputs a b\n.outputs y\n.names a b y\n"
+                       f"-- 1\n{row}\n.end\n")
