@@ -36,7 +36,6 @@ class McConfig:
     sigma_global: float = 0.012
     sigma_k: float = 0.05
     seed: int = 0
-    hist_bins: int = 20
 
     def __post_init__(self):
         if self.trials < 1:
@@ -48,13 +47,14 @@ class YieldReport:
     trials: int
     passing: int
     yield_fraction: float
-    hist_edges: np.ndarray  # seconds, len = bins + 1
+    hist_edges: np.ndarray  # seconds, len = HIST_BINS + 1
     hist_counts: np.ndarray  # over passing trials
     fail_tally: dict[int, int]  # minterm -> number of failing trials
     rows: list[tuple[int, bool, float]]  # (trial, pass, worst_delay)
 
 
 YIELD_BLOCK = 4096  # trials per kernel call; 1 MB per array at n = 5
+HIST_BINS = 20  # delay histogram bins over the passing trials
 
 
 def yield_mc(cell: FtlCell, tt: TruthTable, mc: McConfig) -> YieldReport:
@@ -73,7 +73,7 @@ def yield_mc(cell: FtlCell, tt: TruthTable, mc: McConfig) -> YieldReport:
                  for t, bad, w in zip(trials, miss.any(axis=1), worst)]
     passing_delays = [w for _, ok, w in rows if ok]
     # With no passing trial, numpy's bins span [0, 1] and count nothing.
-    counts, edges = np.histogram(passing_delays, bins=mc.hist_bins)
+    counts, edges = np.histogram(passing_delays, bins=HIST_BINS)
     passing = len(passing_delays)
     fail_tally = {m: int(c) for m, c in enumerate(fail_counts) if c}
     return YieldReport(mc.trials, passing, passing / mc.trials,

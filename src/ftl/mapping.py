@@ -77,23 +77,29 @@ class MappedDesign:
     cost: CostSummary
 
 
-def _dead_gates(nl: Netlist, live_roots: set[str],
-                skip_latch: str | None = None) -> set[str]:
-    """Gates that become unreferenced once only live_roots (plus the data
-    inputs of the remaining latches) need drivers."""
-    roots = set(live_roots) | set(nl.outputs)
-    for q, l in nl.latches.items():
-        if q != skip_latch:
-            roots.add(l.d)
-    live: set[str] = set()
+def _reach(nl: Netlist, roots, stop: set[str]) -> set[str]:
+    """Gates reachable backward from roots without entering stop."""
+    reached: set[str] = set()
     stack = [r for r in roots if r in nl.gates]
     while stack:
         net = stack.pop()
-        if net in live:
+        if net in reached or net in stop:
             continue
-        live.add(net)
+        reached.add(net)
         stack.extend(x for x in nl.gates[net].inputs if x in nl.gates)
-    return set(nl.gates) - live
+    return reached
+
+
+def _dead_gates(nl: Netlist, kept_leaves: set[str], latch: str):
+    """Per-cut finder of the gates left unreferenced when latch's cone is
+    replaced by a cell on the cut's leaves.  What the outputs, the other
+    latches' data inputs and kept_leaves hold live is walked once; each call
+    walks only from its leaves, stopping at that fixed live set."""
+    roots = kept_leaves | set(nl.outputs)
+    roots.update(l.d for q, l in nl.latches.items() if q != latch)
+    fixed = _reach(nl, roots, set())
+    unused = set(nl.gates) - fixed
+    return lambda leaves: unused - _reach(nl, leaves, fixed)
 
 
 def _arrival_times(nl: Netlist, cost: CostModel,
@@ -160,7 +166,8 @@ def map_ftl(
         latch = work.latches[q]
         if latch.d not in work.gates:
             continue  # data driven by a PI or another latch: nothing to absorb
-        kept_leaves = {leaf for inst in instances for leaf in inst.leaves}
+        dead_gates = _dead_gates(
+            work, {leaf for inst in instances for leaf in inst.leaves}, q)
         best = None  # (neg saving, n_leaves, leaves, cut, tt, tf, dead set)
         for cut in enumerate_cuts(work, latch.d, k):
             if cut.trivial:
@@ -171,8 +178,7 @@ def map_ftl(
             tf = oracle[tt.n, tt.bits]
             if tf is None:
                 continue
-            dead = _dead_gates(work, kept_leaves | set(cut.leaves),
-                               skip_latch=q)
+            dead = dead_gates(cut.leaves)
             saving = (sum(cost.gate_area(work.gates[g]) for g in dead)
                       + cost.dff_area - cost.ftl_area)
             key = (-saving, len(cut.leaves), cut.leaves)

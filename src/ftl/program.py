@@ -18,8 +18,6 @@ from .device import FtlCell
 class ProgrammerConfig:
     vt_erased: float | None = None  # defaults to vt_min of the cell's params
     pulse_resolution: float = 0.010  # volts per pulse
-    hiv_program: float = 20.0
-    hiv_erase: float = -20.0
 
     def __post_init__(self):
         if self.pulse_resolution <= 0:

@@ -2,21 +2,25 @@
 NP-class catalog of small threshold functions.
 
 A function f is threshold iff integer weights W and a threshold T exist
-with f(m) = 1 <=> sum(w_i * m_i) >= T.  With its inputs sorted by Chow
-parameter, a positive threshold function has a minimum-sum realization with
-non-increasing weights (Chow 1961; Muroga 1971), so one table of what those
-vectors realize decides detection exactly and feeds the catalog.  The
-weights are then searched at that sum in the original input order; ties
-break lexicographically on the weight vector, then on the smallest T.
+with f(m) = 1 <=> sum(w_i * m_i) >= T.  Detection and solving are one
+lookup: each non-constant positive table, with its inputs sorted by Chow
+parameter, maps to its minimum-sum non-increasing weight vector W* and the
+smallest T that vector realizes it with.  The answer in the original input
+order is W* mapped back through the sort.
 
-That search scans the first weight in ascending order and, for each value,
-one cached block of the remaining n - 1 weights: every composition of the
-rest of the sum in lexicographic order, with its score on every minterm.
-The first feasible row is the lexicographically first feasible vector, and
-no cached block is wider than 5 weights.
+That lookup is exact because the minimum-sum realization is unique
+(Chow 1961; Muroga 1971).  If chow_i > chow_j, every realization has
+w_i > w_j, and inputs with equal Chow parameters are interchangeable.  So
+every minimum-sum realization, sorted within its groups of equal Chow
+parameters, is a non-increasing minimum-sum vector of the sorted table,
+and each capped table has exactly one, W*.  W* gives equal weights to
+inputs with equal Chow parameters, so that sorting changed nothing: W*
+mapped back is the only minimum-sum realization in any input order, and no
+tie between realizations needs breaking.  The tests check both facts for
+every capped table, n = 1..6, and that W* realizes its table at T alone.
 
 Weights never need to exceed _MAX_WEIGHT[n] = 1, 1, 2, 3, 5, 9 for
-n = 1..6 inputs, so the table and the scan range over [0, _MAX_WEIGHT[n]].
+n = 1..6 inputs, so the table ranges over [0, _MAX_WEIGHT[n]].
 Two facts prove these caps:
 
 - Summed over NP orbits, the capped tables hold 4, 14, 104, 1,882, 94,572
@@ -65,66 +69,39 @@ def _minterm_matrix(n: int) -> np.ndarray:
     return ((m[:, None] >> np.arange(n)) & 1).astype(np.int64)
 
 
-def _first_weights(total: int, parts: int, bound: int) -> range:
-    """The values the first of `parts` weights in [0, bound] summing to
-    `total` can take."""
-    return range(max(0, total - bound * (parts - 1)), min(bound, total) + 1)
-
-
-@lru_cache(maxsize=None)
-def _composition_table(total: int, parts: int,
-                       bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, scores): every vector of `parts` ints in [0, bound] summing to
-    `total`, in ascending lexicographic order, and each row's score on every
-    minterm of `parts` inputs, in the narrowest unsigned dtype.  Built from
-    the (parts - 1)-part tables; the scan never asks for more than 5 parts.
-    At the 6-input cap of 9, all 5-part tables together hold at most 10^5
-    rows, under 4 MB.
-    Shared: never mutate."""
-    dtype = np.min_scalar_type(bound * parts)
-    if parts == 0:
-        count = int(total == 0)
-        return np.zeros((count, 0), dtype), np.zeros((count, 1), dtype)
-    row_blocks = [np.zeros((0, parts), dtype)]
-    score_blocks = [np.zeros((0, 1 << parts), dtype)]
-    for first in _first_weights(total, parts, bound):
-        rows, scores = _composition_table(total - first, parts - 1, bound)
-        block = np.empty((len(rows), 2 * scores.shape[1]), dtype)
-        block[:, 0::2] = scores  # x_1 = 0
-        block[:, 1::2] = block[:, 0::2] + dtype.type(first)
-        row_blocks.append(np.column_stack(
-            [np.full(len(rows), first, dtype), rows.astype(dtype)]))
-        score_blocks.append(block)
-    return np.concatenate(row_blocks), np.concatenate(score_blocks)
-
-
 @lru_cache(maxsize=8)
-def _sorted_tables(n: int, bound: int) -> dict[int, int]:
-    """{non-constant positive table: smallest weight sum} over the
-    non-increasing weight vectors in [0, bound]^n.  Shared: never mutate.
-    Vectors are scored in the narrowest dtype (no partial sum of
-    nonnegative weights overflows) and each row packs to one key."""
+def _sorted_tables(n: int,
+                   bound: int) -> dict[int, tuple[tuple[int, ...], int]]:
+    """{non-constant positive table: (W*, T)}: the non-increasing vector in
+    [0, bound]^n of smallest sum that realizes the table, and the smallest
+    threshold it does so with.  Shared: never mutate.  Vectors are scored
+    in the narrowest dtype (no partial sum of nonnegative weights
+    overflows) and each row packs to one key."""
     dtype = np.min_scalar_type(bound * n)
     mm = _minterm_matrix(n).astype(dtype)
-    best: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    best: dict[int, tuple[tuple[int, ...], int]] = {}
     w = np.asarray(list(itertools.combinations_with_replacement(
         range(bound, -1, -1), n)), dtype=dtype)
     w = w[np.argsort(w.sum(axis=1, dtype=np.int64))]
-    sums, scores = w.sum(axis=1, dtype=np.int64), w @ mm.T
+    row_sums, scores = w.sum(axis=1, dtype=np.int64), w @ mm.T
     for t in range(1, int(scores.max()) + 1):
         packed = np.packbits(scores >= t, axis=1, bitorder="little")
         keys = packed.view(f"<u{packed.shape[1]}")[:, 0]
         tables, first = np.unique(keys, return_index=True)
-        for bits, total in zip(tables.tolist(), sums[first].tolist()):
-            if bits and total < best.get(bits, total + 1):
-                best[bits] = total
+        for bits, total, row in zip(tables.tolist(), row_sums[first].tolist(),
+                                    first.tolist()):
+            if bits and total < sums.get(bits, total + 1):
+                sums[bits] = total
+                best[bits] = (tuple(w[row].tolist()), t)
     return best
 
 
 def check_threshold(tt: TruthTable) -> ThresholdFunction | None:
     """Minimum-weight-sum realization of tt, or None if not threshold.
     Weights for negative-unate inputs come back negative; unused inputs get
-    weight zero."""
+    weight zero.  The minimum-sum realization is unique; T is the smallest
+    threshold that realizes tt with it."""
     if tt.n > _SOLVER_MAX_INPUTS:
         raise ValueError(f"solver handles n <= {_SOLVER_MAX_INPUTS}, got {tt.n}")
 
@@ -137,36 +114,18 @@ def check_threshold(tt: TruthTable) -> ThresholdFunction | None:
     reduced, used = project_to_support(pos)
     chow = chow_parameters(reduced)
     order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
-    key = permute_inputs(reduced, order).bits
-    bound = _MAX_WEIGHT[reduced.n]
-    total = _sorted_tables(reduced.n, bound).get(key)
-    if total is None:
+    found = _sorted_tables(reduced.n, _MAX_WEIGHT[reduced.n]).get(
+        permute_inputs(reduced, order).bits)
+    if found is None:
         return None
-
-    # First feasible vector at that sum in ascending lexicographic order:
-    # blocks by the first weight, the rest read from the cached table.
-    on = np.array(reduced.values(), dtype=bool)
-    on_0, on_1 = on[0::2], on[1::2]  # minterms with x_1 = 0 and x_1 = 1
-    for first in _first_weights(total, reduced.n, bound):
-        rows, scores = _composition_table(total - first, reduced.n - 1, bound)
-        # Positive and non-constant: minterm 0 is off, all-ones is on.
-        # Sums in int64, since the table's dtype may not hold them.
-        max_off = scores[:, ~on_0].max(axis=1).astype(np.int64)
-        min_on = scores[:, on_1].min(axis=1).astype(np.int64) + first
-        if not on_1.all():
-            max_off = np.maximum(
-                max_off, scores[:, ~on_1].max(axis=1).astype(np.int64) + first)
-        if on_0.any():
-            min_on = np.minimum(min_on, scores[:, on_0].min(axis=1))
-        feasible = np.flatnonzero(min_on > max_off)
-        if feasible.size:
-            # Map back through the complement mask: x_i -> 1 - x_i
-            weights = [0] * tt.n
-            for i, w in zip(used, (first, *rows[feasible[0]].tolist())):
-                weights[i] = -w if (mask >> i) & 1 else w
-            t = int(max_off[feasible[0]]) + 1 + sum(min(w, 0) for w in weights)
-            return ThresholdFunction(tuple(weights), t)
-    raise RuntimeError(f"{tt} has no weight-sum {total} realization")
+    # Sorted input j is reduced input order[j]; complemented inputs
+    # (x_i -> 1 - x_i) take negative weight and lower T by it.
+    sorted_weights, t = found
+    weights = [0] * tt.n
+    for i, w in zip((used[j] for j in order), sorted_weights):
+        weights[i] = -w if (mask >> i) & 1 else w
+    return ThresholdFunction(tuple(weights),
+                             t + sum(min(w, 0) for w in weights))
 
 
 def count_threshold_functions(n: int) -> int:

@@ -50,3 +50,19 @@ def scalar_step(nl, pi_values, state, instances=()):
     for inst in instances:
         nxt[inst.q] = instance_output(inst, values)
     return values, nxt
+
+
+def dead_gates_walk(nl, live_roots, skip_latch):
+    """Gates left unreferenced once only live_roots, the outputs and the
+    data inputs of the latches other than skip_latch need drivers: one
+    liveness walk over the whole netlist."""
+    roots = set(live_roots) | set(nl.outputs)
+    roots.update(l.d for q, l in nl.latches.items() if q != skip_latch)
+    live = set()
+    stack = [r for r in roots if r in nl.gates]
+    while stack:
+        net = stack.pop()
+        if net not in live:
+            live.add(net)
+            stack.extend(x for x in nl.gates[net].inputs if x in nl.gates)
+    return set(nl.gates) - live

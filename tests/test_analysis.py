@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from ftl.analysis import (Datapath, HOLD_SCENARIO, McConfig, RetuneError,
-                          SETUP_SCENARIO, YIELD_BLOCK, check_timing,
-                          conductivity_map, margin_schedule,
+from ftl.analysis import (Datapath, HIST_BINS, HOLD_SCENARIO, McConfig,
+                          RetuneError, SETUP_SCENARIO, YIELD_BLOCK,
+                          check_timing, conductivity_map, margin_schedule,
                           default_vgate_rule, retune_delay, run_timing_fix,
                           vdd_sweep, write_histogram_csv, write_yield_csv,
                           yield_mc)
@@ -66,7 +66,7 @@ def test_yield_matches_per_trial_evaluate():
         rows.append((t, False, math.nan) if bad
                     else (t, True, max(r.delay for r in results)))
     passing = [w for _, ok, w in rows if ok]
-    counts, edges = np.histogram(passing, bins=mc.hist_bins)
+    counts, edges = np.histogram(passing, bins=HIST_BINS)
 
     rep = yield_mc(cell, F115, mc)
     assert 0 < len(passing) < mc.trials and tally

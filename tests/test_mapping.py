@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ftl import mapping
 from ftl.mapping import (CostModel, export_mapped_blif, map_ftl,
                          verify_equivalence, write_cost_csv)
-from ftl.netlist import parse_blif
+from ftl.netlist import enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, f115_table
 from ftl.train import train
 from ftl.truthtable import TruthTable
-from helpers import scalar_step
+from helpers import dead_gates_walk, scalar_step
 
 CORPUS = "src/ftl/corpus"
 
@@ -207,6 +208,51 @@ def test_stimulus_matrix_equals_per_call_stream(seed):
                     for _ in range(64)]
         matrix = np.random.default_rng(seed).integers(0, 2, size=(64, n_pis))
         assert matrix.tolist() == per_call, n_pis
+
+
+# A leaf's fan-in re-enters the cone: cut {a, b, l} of d has cone {d, g},
+# and g stays live through the leaf l = g | c.  The dangling gate z is
+# unreferenced before any replacement.
+REENTER = """.model reenter
+.inputs a b c
+.outputs o
+.names a b g
+11 1
+.names g c l
+1- 1
+-1 1
+.names g l d
+11 1
+.names b c e
+11 1
+.names a z
+0 1
+.names e p o
+1- 1
+-1 1
+.latch d q re clk 0
+.latch e p re clk 0
+.end
+"""
+
+
+@pytest.mark.parametrize("name", ["fig2_hybrid.blif", "f115_nandinv.blif",
+                                  "xor_ring.blif", "reenter"])
+def test_per_latch_dead_set_equals_whole_netlist_walk(name):
+    nl = parse_blif(REENTER) if name == "reenter" else load(name)
+    checked = 0
+    for q, latch in sorted(nl.latches.items()):
+        cuts = enumerate_cuts(nl, latch.d, 5)
+        for kept in (set(), set(cuts[-1].leaves)):
+            dead_gates = mapping._dead_gates(nl, kept, q)
+            for cut in cuts:
+                assert dead_gates(cut.leaves) == dead_gates_walk(
+                    nl, kept | set(cut.leaves), q), (q, kept, cut.leaves)
+                checked += 1
+    assert checked
+    if name == "reenter":
+        assert mapping._dead_gates(nl, set(), "q")(("a", "b", "l")) == \
+            {"d", "z"}
 
 
 def test_pruning_keeps_best_choice(catalog):

@@ -22,8 +22,6 @@ def trained_cell(hexspec="8", n=2):
 def test_config_defaults():
     p = DeviceParams()
     assert CFG.pulse_resolution == 0.010
-    assert CFG.hiv_program == 20.0
-    assert CFG.hiv_erase == -20.0
     cell = trained_cell()
     assert CFG.erased_level(cell) == p.vt_min
 

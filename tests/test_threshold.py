@@ -12,7 +12,7 @@ from ftl.threshold import (ThresholdFunction, build_catalog, canonicalize_np,
                            check_threshold, count_threshold_functions,
                            f115_table, write_catalog_csv)
 from ftl.truthtable import (Polarity, TruthTable, apply_complements,
-                            parse_truth_table, permute_inputs,
+                            chow_parameters, parse_truth_table, permute_inputs,
                             project_to_support, to_positive_form, unateness)
 
 from helpers import realizes
@@ -219,9 +219,47 @@ def test_count_matches_a000609():
 
 
 def test_capped_tables_equal_bound_16_tables():
+    """Same tables, and for each the same W* and T."""
     for n in range(1, 7):
         assert threshold._sorted_tables(n, threshold._MAX_WEIGHT[n]) == \
             threshold._sorted_tables(n, 16), n
+
+
+def test_equal_chow_inputs_get_equal_weights():
+    """W* is constant on every group of equal Chow parameters, so it is the
+    only minimum-sum realization in any input order and check_threshold can
+    read it from the table."""
+    for n in range(1, 7):
+        for bits, (w, t) in threshold._sorted_tables(
+                n, threshold._MAX_WEIGHT[n]).items():
+            chow = chow_parameters(TruthTable(n, bits))
+            assert chow == sorted(chow, reverse=True), (n, bits)
+            for i in range(n - 1):
+                if chow[i] == chow[i + 1]:
+                    assert w[i] == w[i + 1], (n, bits, w, chow)
+
+
+def test_sorted_tables_have_one_minimum_sum_realization():
+    """No second non-increasing vector in the cap reaches a table at its
+    smallest sum, whatever the threshold, and W* reaches it at T alone."""
+    for n in range(1, 7):
+        bound = threshold._MAX_WEIGHT[n]
+        table = threshold._sorted_tables(n, bound)
+        for bits, (w, t) in table.items():
+            assert [realizes(ThresholdFunction(w, t + d), TruthTable(n, bits))
+                    for d in (-1, 0, 1)] == [False, True, False], (n, bits)
+        vectors = list(itertools.combinations_with_replacement(
+            range(bound, -1, -1), n))
+        scores = np.asarray(vectors) @ threshold._minterm_matrix(n).T
+        place = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
+        seen = {}
+        for t in range(1, int(scores.max()) + 1):
+            keys = (scores >= t).astype(np.uint64) @ place
+            for v, bits in zip(vectors, keys.tolist()):
+                if bits in table and sum(v) == sum(table[bits][0]):
+                    seen.setdefault(bits, set()).add(v)
+        assert set(seen) == set(table), n
+        assert all(vs == {table[bits][0]} for bits, vs in seen.items()), n
 
 
 def test_count_matches_exhaustive_scan_n_le_4():
@@ -266,11 +304,11 @@ def test_catalog_lost_realization_raises(monkeypatch):
         build_catalog(2)
 
 
-# -- the cached composition table against the recursive generator -----------
+# -- the table lookup against a scan of every composition at the minimum sum -
 
 def compositions(total, parts, bound):
-    """The recursive generator the table replaced: all vectors of `parts`
-    ints in [0, bound] summing to `total`, in ascending lexicographic order."""
+    """All vectors of `parts` ints in [0, bound] summing to `total`, in
+    ascending lexicographic order."""
     if parts == 1:
         if total <= bound:
             yield (total,)
@@ -281,23 +319,10 @@ def compositions(total, parts, bound):
             yield (first,) + rest
 
 
-def test_composition_table_matches_generator():
-    for bound in (1, 3, 16):
-        for parts in range(1, 6):
-            mm = threshold._minterm_matrix(parts)
-            for total in range(21):
-                rows, scores = threshold._composition_table(total, parts, bound)
-                want = list(compositions(total, parts, bound))
-                assert [tuple(r) for r in rows.tolist()] == want, \
-                    (total, parts, bound)
-                assert rows.dtype == scores.dtype == \
-                    np.min_scalar_type(bound * parts)
-                assert np.array_equal(scores, rows.astype(np.int64) @ mm.T)
-
-
 def scan_reference(tt, bound=16):
-    """check_threshold as it was before the cached table: the Chow-sorted
-    lookup, then batches of the recursive generator at the minimum sum."""
+    """The lexicographically first realization at the minimum sum, found by
+    scanning every composition of sum(W*) in the original input order; the
+    table gives only that sum, so the un-permuting is checked, not reused."""
     if Polarity.NONUNATE in unateness(tt):
         return None
     pos, mask = to_positive_form(tt)
@@ -306,10 +331,11 @@ def scan_reference(tt, bound=16):
     reduced, used = project_to_support(pos)
     chow = [sum(m >> i & 1 for m in reduced.onset()) for i in range(reduced.n)]
     order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
-    total = threshold._sorted_tables(reduced.n, bound).get(
+    found = threshold._sorted_tables(reduced.n, bound).get(
         permute_inputs(reduced, order).bits)
-    if total is None:
+    if found is None:
         return None
+    total = sum(found[0])
     mm = threshold._minterm_matrix(reduced.n)
     on = np.array([bool(reduced.value(m)) for m in range(reduced.size)])
     vectors = compositions(total, reduced.n, bound)
@@ -343,17 +369,3 @@ def test_scan_matches_reference_on_random_six_input_tables():
         t = rng.randint(-6, 12)
         tt = table6(lambda x: sum(wi for wi, xi in zip(w, x) if xi) >= t)
         assert check_threshold(tt) == scan_reference(tt), (w, t)
-
-
-def test_scan_caches_no_table_over_five_parts(monkeypatch):
-    cached = threshold._composition_table
-    parts_seen = []
-
-    def spy(total, parts, bound):
-        parts_seen.append(parts)
-        return cached(total, parts, bound)
-
-    monkeypatch.setattr(threshold, "_composition_table", spy)
-    assert check_threshold(table6(lambda x: sum(x) >= 4)) is not None
-    assert check_threshold(table6(lambda x: x[0] and any(x[1:]))) is not None
-    assert parts_seen and max(parts_seen) == 5
