@@ -21,7 +21,7 @@ from .device import FtlCell, evaluate
 from .netlist import (Netlist, _read, all_patterns, cut_function,
                       enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
-from .truthtable import TruthTable, project_to_support, to_positive_form
+from .truthtable import TruthTable, to_positive_form
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,13 @@ def _dead_gates(nl: Netlist, kept_leaves: set[str], latch: str):
     """Per-cut finder of the gates left unreferenced when latch's cone is
     replaced by a cell on the cut's leaves.  What the outputs, the other
     latches' data inputs and kept_leaves hold live is walked once; each call
-    walks only from its leaves, stopping at that fixed live set."""
+    walks only from its leaves, stopping at that fixed live set.  Only the
+    latch's own cone can die, so dangling gates are never counted."""
     roots = kept_leaves | set(nl.outputs)
     roots.update(l.d for q, l in nl.latches.items() if q != latch)
     fixed = _reach(nl, roots, set())
-    unused = set(nl.gates) - fixed
-    return lambda leaves: unused - _reach(nl, leaves, fixed)
+    cone = _reach(nl, [nl.latches[latch].d], fixed)
+    return lambda leaves: cone - _reach(nl, leaves, fixed)
 
 
 def _arrival_times(nl: Netlist, cost: CostModel,
@@ -156,9 +157,7 @@ def map_ftl(
     removed = 0
 
     oracle = {}  # (n, bits) -> check_threshold's answer, for this call
-    catalog_by_table = {}
-    if catalog is not None:
-        catalog_by_table = {(e.n, e.table.bits): e.index for e in catalog}
+    catalog_by_table = {e.table: e.index for e in catalog or ()}
 
     for q in sorted(nl.latches):
         if q not in work.latches:
@@ -189,10 +188,8 @@ def map_ftl(
         _, cut, tt, tf, removable = best
         positive, mask = to_positive_form(tt)
         cat_idx = None
-        if catalog_by_table:
-            reduced, _ = project_to_support(tt)
-            rep = canonicalize_np(reduced)
-            cat_idx = catalog_by_table.get((rep.n, rep.bits))
+        if catalog_by_table and not tt.is_constant():  # constants: no class
+            cat_idx = catalog_by_table.get(canonicalize_np(tt))
         cell = trainer_hook(positive) if trainer_hook else None
         instances.append(FtlInstance(
             name=f"ftl_{q}", q=q, leaves=cut.leaves, function=tt,

@@ -2,26 +2,34 @@
 NP-class catalog of small threshold functions.
 
 A function f is threshold iff integer weights W and a threshold T exist
-with f(m) = 1 <=> sum(w_i * m_i) >= T.  Detection and solving are one
-lookup: each non-constant positive table, with its inputs sorted by Chow
-parameter, maps to its minimum-sum non-increasing weight vector W* and the
-smallest T that vector realizes it with.  The answer in the original input
-order is W* mapped back through the sort.
+with f(m) = 1 <=> sum(w_i * m_i) >= T.  Detection, solving and class
+naming share one key: the positive form of a table on its support, inputs
+sorted by descending Chow parameter.  Each non-constant key maps to its
+minimum-sum non-increasing weight vector W* and the smallest T it
+realizes the key with; W* mapped back through the sort is the answer.
 
-That lookup is exact because the minimum-sum realization is unique
-(Chow 1961; Muroga 1971).  If chow_i > chow_j, every realization has
-w_i > w_j, and inputs with equal Chow parameters are interchangeable.  So
-every minimum-sum realization, sorted within its groups of equal Chow
-parameters, is a non-increasing minimum-sum vector of the sorted table,
-and each capped table has exactly one, W*.  W* gives equal weights to
-inputs with equal Chow parameters, so that sorting changed nothing: W*
-mapped back is the only minimum-sum realization in any input order, and no
-tie between realizations needs breaking.  The tests check both facts for
-every capped table, n = 1..6, and that W* realizes its table at T alone.
+The lookup is exact because the minimum-sum realization is unique (Chow
+1961; Muroga 1971).  If chow_i > chow_j, every realization has w_i > w_j,
+and inputs with equal Chow parameters are interchangeable.  So each
+minimum-sum realization, sorted within its groups of equal Chow
+parameters, is a non-increasing minimum-sum vector of the key, and each
+key has exactly one, W*, which is constant on those groups: W* mapped
+back is the only minimum-sum realization in any input order.  The tests
+check both facts for every capped key, n = 1..6, and that W* realizes its
+key at T alone.
+
+The catalog names a class by its key with the inputs reversed into
+ascending Chow order and all complemented: the NP minimum, the smallest
+table (as an integer) over all input permutations and complementations,
+found without a search.  Complementing a used positive input moves 1s to
+lower minterms, so the minimum complements every input; read from the top
+minterm down it is then the positive form read from minterm 0 up.  As
+w_i > w_j, setting x_i rather than x_j never turns f off, so swapping a
+stronger input below a weaker one lowers that sequence.
 
 Weights never need to exceed _MAX_WEIGHT[n] = 1, 1, 2, 3, 5, 9 for
-n = 1..6 inputs, so the table ranges over [0, _MAX_WEIGHT[n]].
-Two facts prove these caps:
+n = 1..6 inputs, so the table ranges over [0, _MAX_WEIGHT[n]].  Two facts
+prove these caps:
 
 - Summed over NP orbits, the capped tables hold 4, 14, 104, 1,882, 94,572
   and 15,028,134 functions, the known counts of threshold functions of
@@ -47,9 +55,9 @@ import numpy as np
 from .truthtable import (
     Polarity,
     TruthTable,
+    apply_complements,
     chow_parameters,
     permute_inputs,
-    project_to_support,
     to_positive_form,
     unateness,
 )
@@ -97,32 +105,39 @@ def _sorted_tables(n: int,
     return best
 
 
+def _chow_sort(tt: TruthTable):
+    """(complement mask, used inputs by descending Chow parameter of the
+    positive form, the key's (W*, T)) for a non-constant threshold tt, else
+    None.  One stable sort and one permute_inputs call project to the
+    support and sort; inputs with equal Chow parameters are symmetric."""
+    if tt.n > _SOLVER_MAX_INPUTS:
+        raise ValueError(f"solver handles n <= {_SOLVER_MAX_INPUTS}, got {tt.n}")
+    pol = unateness(tt)
+    if Polarity.NONUNATE in pol or tt.is_constant():
+        return None
+    pos, mask = to_positive_form(tt)
+    chow = chow_parameters(pos)
+    used = tuple(sorted((i for i, p in enumerate(pol)
+                         if p is not Polarity.UNUSED), key=lambda i: -chow[i]))
+    found = _sorted_tables(len(used), _MAX_WEIGHT[len(used)]).get(
+        permute_inputs(pos, used).bits)
+    return None if found is None else (mask, used, found)
+
+
 def check_threshold(tt: TruthTable) -> ThresholdFunction | None:
     """Minimum-weight-sum realization of tt, or None if not threshold.
     Weights for negative-unate inputs come back negative; unused inputs get
     weight zero.  The minimum-sum realization is unique; T is the smallest
     threshold that realizes tt with it."""
-    if tt.n > _SOLVER_MAX_INPUTS:
-        raise ValueError(f"solver handles n <= {_SOLVER_MAX_INPUTS}, got {tt.n}")
-
-    if Polarity.NONUNATE in unateness(tt):
-        return None
-    pos, mask = to_positive_form(tt)
-    if pos.is_constant():  # all weights 0; T = 0 passes every minterm, T = 1 none
-        return ThresholdFunction((0,) * tt.n, 1 - pos.value(0))
-
-    reduced, used = project_to_support(pos)
-    chow = chow_parameters(reduced)
-    order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
-    found = _sorted_tables(reduced.n, _MAX_WEIGHT[reduced.n]).get(
-        permute_inputs(reduced, order).bits)
-    if found is None:
-        return None
-    # Sorted input j is reduced input order[j]; complemented inputs
-    # (x_i -> 1 - x_i) take negative weight and lower T by it.
-    sorted_weights, t = found
+    sort = _chow_sort(tt)
+    if sort is None:  # constants: all weights 0; T = 0 passes all, T = 1 none
+        return (ThresholdFunction((0,) * tt.n, 1 - tt.value(0))
+                if tt.is_constant() else None)
+    # Sorted input j is input used[j]; complemented inputs (x_i -> 1 - x_i)
+    # take negative weight and lower T by it.
+    mask, used, (sorted_weights, t) = sort
     weights = [0] * tt.n
-    for i, w in zip((used[j] for j in order), sorted_weights):
+    for i, w in zip(used, sorted_weights):
         weights[i] = -w if (mask >> i) & 1 else w
     return ThresholdFunction(tuple(weights),
                              t + sum(min(w, 0) for w in weights))
@@ -141,36 +156,23 @@ def count_threshold_functions(n: int) -> int:
         tt = TruthTable(n, bits)
         groups = Counter(chow_parameters(tt)).values()
         orders = math.factorial(n) // math.prod(map(math.factorial, groups))
-        count += orders << len(project_to_support(tt)[1])
+        count += orders << n - unateness(tt).count(Polarity.UNUSED)
     return count
 
 
-@lru_cache(maxsize=8)
-def _np_transform_indices(n: int) -> np.ndarray:
-    """Source-minterm index map for every input permutation x complementation;
-    shape (n! * 2^n, 2^n)."""
-    size = 1 << n
-    minterms = np.arange(size)
-    bit = [(minterms >> j) & 1 for j in range(n)]
-    rows = []
-    for perm in itertools.permutations(range(n)):
-        src_perm = np.zeros(size, dtype=np.int64)
-        for j in range(n):
-            src_perm |= bit[j] << perm[j]
-        for cmask in range(size if n else 1):
-            rows.append(src_perm ^ cmask)
-    return np.asarray(rows)
-
-
 def canonicalize_np(tt: TruthTable) -> TruthTable:
-    """Lexicographically smallest table over all input permutations and
-    complementations (output polarity untouched)."""
-    if tt.n > 5:
-        raise ValueError("canonicalization limited to n <= 5")
-    bits = np.array(tt.values(), dtype=np.int64)
-    idx = _np_transform_indices(tt.n)
-    packed = bits[idx] @ (np.int64(1) << np.arange(tt.size, dtype=np.int64))
-    return TruthTable(tt.n, int(packed.min()))
+    """The catalog's name for the NP class of threshold function tt: its
+    positive form on its support, inputs in ascending Chow order, every
+    input complemented.  Raises ValueError for a constant or non-threshold
+    table."""
+    sort = _chow_sort(tt)
+    if sort is None:
+        raise ValueError(f"{tt} is constant or not threshold: no NP class")
+    mask, used, _ = sort
+    # tt complemented at mask is the positive form; at mask ^ all, it is
+    # the positive form with every input complemented.
+    return permute_inputs(apply_complements(tt, mask ^ ((1 << tt.n) - 1)),
+                          used[::-1])
 
 
 @dataclass(frozen=True)
@@ -190,16 +192,14 @@ def build_catalog(n_max: int = 5) -> list[CatalogEntry]:
     (input count, canonical table) and indexed from 0."""
     if not 1 <= n_max <= 5:
         raise ValueError(f"catalog limited to 1 <= n_max <= 5, got {n_max}")
-    reps = (canonicalize_np(project_to_support(TruthTable(n_max, bits))[0])
-            for bits in _sorted_tables(n_max, _MAX_WEIGHT[n_max]))
-    canon = {(rep.n, rep.bits) for rep in reps}
+    classes = {canonicalize_np(TruthTable(n_max, bits))
+               for bits in _sorted_tables(n_max, _MAX_WEIGHT[n_max])}
     entries = []
-    for idx, (n, bits) in enumerate(sorted(canon)):
-        tt = TruthTable(n, bits)
+    for idx, tt in enumerate(sorted(classes, key=lambda t: (t.n, t.bits))):
         tf = check_threshold(tt)
         if tf is None:
             raise RuntimeError(f"catalog table {tt} lost its realization")
-        entries.append(CatalogEntry(idx, n, tt, tf))
+        entries.append(CatalogEntry(idx, tt.n, tt, tf))
     return entries
 
 

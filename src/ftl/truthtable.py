@@ -48,9 +48,6 @@ class TruthTable:
     def onset(self):
         return [m for m, v in enumerate(self.values()) if v]
 
-    def offset(self):
-        return [m for m, v in enumerate(self.values()) if not v]
-
     def is_constant(self) -> bool:
         return self.bits == 0 or self.bits == (1 << self.size) - 1
 
@@ -121,15 +118,21 @@ def apply_complements(tt: TruthTable, mask: int) -> TruthTable:
 
 def permute_inputs(tt: TruthTable, perm: tuple[int, ...]) -> TruthTable:
     """Relabel inputs: new variable j reads old variable perm[j].  With
-    fewer entries than inputs, the inputs left out read 0."""
-    bits = 0
-    for m in range(1 << len(perm)):
-        src = 0
-        for j, var in enumerate(perm):
-            if (m >> j) & 1:
-                src |= 1 << var
-        bits |= tt.value(src) << m
-    return TruthTable(len(perm), bits)
+    fewer entries than inputs, the inputs left out read 0.  Each variable
+    reaches its place in one delta swap (Knuth, TAOCP 4A 7.1.3): positions
+    i < p swap every minterm with bit i set and bit p clear for its partner
+    2^p - 2^i above.  The inputs left out end above position len(perm)."""
+    low = _low_halves(tt.n)
+    at = list(range(tt.n))  # at[p]: the old variable now at position p
+    bits = tt.bits
+    for i, var in enumerate(perm):
+        p = at.index(var)
+        if p != i:
+            d = (1 << p) - (1 << i)
+            t = (bits ^ (bits >> d)) & low[p] & ~low[i]
+            bits ^= t | (t << d)
+            at[i], at[p] = var, at[i]
+    return TruthTable(len(perm), bits & ((1 << (1 << len(perm))) - 1))
 
 
 def to_positive_form(tt: TruthTable) -> tuple[TruthTable, int]:
@@ -145,19 +148,3 @@ def to_positive_form(tt: TruthTable) -> tuple[TruthTable, int]:
         if p is Polarity.NEGATIVE:
             mask |= 1 << i
     return apply_complements(tt, mask), mask
-
-
-def support(tt: TruthTable) -> list[int]:
-    """Indices of the variables the function actually depends on."""
-    return [i for i, p in enumerate(unateness(tt)) if p is not Polarity.UNUSED]
-
-
-def project_to_support(tt: TruthTable) -> tuple[TruthTable, list[int]]:
-    """Drop unused inputs, keeping the used ones in their original order.
-
-    Constant tables collapse to n=1 with one unused input.
-    """
-    sup = support(tt)
-    if not sup:
-        return TruthTable(1, 0b11 if tt.value(0) else 0), []
-    return permute_inputs(tt, tuple(sup)), sup

@@ -1,6 +1,12 @@
 """Checks shared by the tests."""
 
+import itertools
+from functools import lru_cache
+
+import numpy as np
+
 from ftl.device import evaluate
+from ftl.truthtable import Polarity, TruthTable, unateness
 
 
 def realizes(tf, tt) -> bool:
@@ -52,17 +58,59 @@ def scalar_step(nl, pi_values, state, instances=()):
     return values, nxt
 
 
-def dead_gates_walk(nl, live_roots, skip_latch):
-    """Gates left unreferenced once only live_roots, the outputs and the
-    data inputs of the latches other than skip_latch need drivers: one
-    liveness walk over the whole netlist."""
-    roots = set(live_roots) | set(nl.outputs)
-    roots.update(l.d for q, l in nl.latches.items() if q != skip_latch)
-    live = set()
-    stack = [r for r in roots if r in nl.gates]
-    while stack:
-        net = stack.pop()
-        if net not in live:
-            live.add(net)
-            stack.extend(x for x in nl.gates[net].inputs if x in nl.gates)
-    return set(nl.gates) - live
+def dead_gates_walk(nl, kept, leaves, latch):
+    """Gates the design references before latch's cone is replaced by a
+    cell on leaves and no longer after it, with kept, the outputs and the
+    data inputs of the other latches live throughout: two liveness walks
+    over the whole netlist."""
+    roots = set(kept) | set(nl.outputs)
+    roots.update(l.d for q, l in nl.latches.items() if q != latch)
+
+    def live(extra):
+        seen = set()
+        stack = [r for r in roots | set(extra) if r in nl.gates]
+        while stack:
+            net = stack.pop()
+            if net not in seen:
+                seen.add(net)
+                stack.extend(x for x in nl.gates[net].inputs if x in nl.gates)
+        return seen
+
+    return live([nl.latches[latch].d]) - live(leaves)
+
+
+def permute_inputs_loop(tt, perm):
+    """permute_inputs one minterm at a time: new variable j reads old
+    variable perm[j], and the inputs left out read 0."""
+    bits = 0
+    for m in range(1 << len(perm)):
+        src = 0
+        for j, var in enumerate(perm):
+            if (m >> j) & 1:
+                src |= 1 << var
+        bits |= tt.value(src) << m
+    return TruthTable(len(perm), bits)
+
+
+@lru_cache(maxsize=8)
+def _np_transform_indices(n):
+    """Source-minterm index map for every input permutation x
+    complementation; shape (n! * 2^n, 2^n)."""
+    minterms = np.arange(1 << n)
+    rows = []
+    for perm in itertools.permutations(range(n)):
+        src = sum(((minterms >> j) & 1) << var for j, var in enumerate(perm))
+        rows.extend(src ^ cmask for cmask in range(1 << n))
+    return np.asarray(rows)
+
+
+def brute_canonical_np(tt):
+    """The smallest table over every input permutation and complementation
+    of tt projected to its support (output polarity untouched)."""
+    used = tuple(i for i, p in enumerate(unateness(tt))
+                 if p is not Polarity.UNUSED)
+    reduced = permute_inputs_loop(tt, used)
+    bits = np.array(reduced.values(), dtype=np.int64)
+    place = np.int64(1) << np.arange(reduced.size, dtype=np.int64)
+    packed = bits[_np_transform_indices(reduced.n)] @ place
+    return TruthTable(reduced.n, int(packed.min()))

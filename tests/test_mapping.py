@@ -247,12 +247,67 @@ def test_per_latch_dead_set_equals_whole_netlist_walk(name):
             dead_gates = mapping._dead_gates(nl, kept, q)
             for cut in cuts:
                 assert dead_gates(cut.leaves) == dead_gates_walk(
-                    nl, kept | set(cut.leaves), q), (q, kept, cut.leaves)
+                    nl, kept, cut.leaves, q), (q, kept, cut.leaves)
                 checked += 1
     assert checked
-    if name == "reenter":
-        assert mapping._dead_gates(nl, set(), "q")(("a", "b", "l")) == \
-            {"d", "z"}
+    if name == "reenter":  # z dangles already: not part of any cone
+        assert mapping._dead_gates(nl, set(), "q")(("a", "b", "l")) == {"d"}
+
+
+def test_dangling_gate_kept_and_not_counted(catalog):
+    """A gate nothing references is no saving of the cut that replaces the
+    cone: it stays in mapped.blif and out of cells_removed."""
+    text = open(f"{CORPUS}/f115_nandinv.blif").read()
+    dangling = text.replace(".latch", ".names a z\n0 1\n.latch")
+    plain = map_ftl(parse_blif(text), catalog=catalog)
+    design = map_ftl(parse_blif(dangling), catalog=catalog)
+    assert len(design.instances) == 1
+    assert "z" in design.netlist.gates
+    assert ".names a z" in export_mapped_blif(design)
+    assert design.cost.cells_removed == plain.cost.cells_removed == 8
+    assert (design.cost.area_before - design.cost.area_after
+            == pytest.approx(plain.cost.area_before - plain.cost.area_after))
+
+
+# A constant-1 cone over {a, b, c}: the cell realizes it with zero weights,
+# and no catalog class names a constant.
+CONST_CONE = """.model const_cone
+.inputs a b c
+.outputs q
+.names a b n1
+11 1
+.names b c n2
+11 1
+.names n1 c n3
+1- 1
+-1 1
+.names n2 a n4
+10 1
+.names n3 n4 n5
+11 1
+.names n5 b n6
+01 1
+.names n6 n4 n7
+1- 1
+-1 1
+.names n7 c n8
+11 1
+.names n8 b n9
+10 1
+.names n9 a y
+-- 1
+.latch y q re clk 0
+.end
+"""
+
+
+def test_constant_cone_maps_without_a_class(catalog):
+    nl = parse_blif(CONST_CONE)
+    design = map_ftl(nl, catalog=catalog)
+    [inst] = design.instances
+    assert inst.function.is_constant() and inst.catalog_index is None
+    assert ".subckt ftl5 cat=-1 " in export_mapped_blif(design)
+    assert verify_equivalence(nl, design).equivalent
 
 
 def test_pruning_keeps_best_choice(catalog):

@@ -13,9 +13,9 @@ from ftl.threshold import (ThresholdFunction, build_catalog, canonicalize_np,
                            f115_table, write_catalog_csv)
 from ftl.truthtable import (Polarity, TruthTable, apply_complements,
                             chow_parameters, parse_truth_table, permute_inputs,
-                            project_to_support, to_positive_form, unateness)
+                            to_positive_form, unateness)
 
-from helpers import realizes
+from helpers import brute_canonical_np, permute_inputs_loop, realizes
 
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
@@ -126,17 +126,71 @@ def test_canonicalize_maj3_symmetric():
         assert canonicalize_np(permute_inputs(MAJ3, perm)) == canonicalize_np(MAJ3)
 
 
+def random_threshold_table(rng, n):
+    """A seeded signed-weight threshold table on n inputs; some inputs may
+    go unused, and the table may be constant."""
+    w = [rng.randint(-4, 4) for _ in range(n)]
+    t = rng.randint(-n, 2 * n)
+    return TruthTable(n, sum(1 << m for m in range(1 << n)
+                             if sum(w[i] for i in range(n) if m >> i & 1) >= t))
+
+
+def np_variant(rng, tt):
+    """tt with its inputs permuted and complemented at random."""
+    perm = tuple(rng.sample(range(tt.n), tt.n))
+    return apply_complements(permute_inputs(tt, perm), rng.getrandbits(tt.n))
+
+
 def test_canonicalize_idempotent_and_closed():
     rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        tt = TruthTable(n, rng.getrandbits(1 << n))
+    seen = 0
+    while seen < 60:
+        tt = random_threshold_table(rng, rng.randint(1, 5))
+        if tt.is_constant():
+            continue
         canon = canonicalize_np(tt)
         assert canonicalize_np(canon) == canon
-        perm = tuple(rng.sample(range(n), n))
-        mask = rng.getrandbits(n)
-        sigma = apply_complements(permute_inputs(tt, perm), mask)
-        assert canonicalize_np(sigma) == canon
+        assert canonicalize_np(np_variant(rng, tt)) == canon
+        seen += 1
+
+
+def test_canonicalize_matches_brute_force_every_table_n_le_4():
+    """The Chow-order form is the smallest table over every permutation and
+    complementation of each non-constant threshold table, on its support."""
+    seen = 0
+    for n in range(1, 5):
+        for bits in range(1 << (1 << n)):
+            tt = TruthTable(n, bits)
+            if tt.is_constant() or check_threshold(tt) is None:
+                continue
+            assert canonicalize_np(tt) == brute_canonical_np(tt), tt
+            seen += 1
+    assert seen == 2004 - 8  # A000609 up to n = 4, less the constants
+
+
+def test_canonicalize_catalog_variants_with_unused_inputs():
+    """Seeded NP variants of every class, widened to 5 inputs where it has
+    fewer, name their class and agree with the brute-force minimum."""
+    rng = random.Random(17)
+    for e in build_catalog(5):
+        wide = TruthTable(5, sum(e.table.value(m % e.table.size) << m
+                                 for m in range(32)))
+        for tt in (np_variant(rng, e.table), np_variant(rng, wide)):
+            assert canonicalize_np(tt) == e.table, (e.index, tt)
+            assert brute_canonical_np(tt) == e.table, (e.index, tt)
+
+
+@pytest.mark.parametrize("tt", [
+    XOR2,
+    TruthTable(4, sum(1 << m for m in range(16)
+                      if m & 3 == 3 or m & 12 == 12)),  # ab + cd: unate
+    TruthTable(7, 1 << 127),  # AND7: above the solver's input limit
+    TruthTable(3, 0),
+    TruthTable(3, 0xFF),
+], ids=["xor2", "ab+cd", "and7", "const0", "const1"])
+def test_canonicalize_rejects_tables_without_a_class(tt):
+    with pytest.raises(ValueError):
+        canonicalize_np(tt)
 
 
 def test_catalog_n2_has_three_classes():
@@ -328,11 +382,12 @@ def scan_reference(tt, bound=16):
     pos, mask = to_positive_form(tt)
     if pos.is_constant():
         return ThresholdFunction((0,) * tt.n, 1 - pos.value(0))
-    reduced, used = project_to_support(pos)
+    used = [i for i, p in enumerate(unateness(pos)) if p is not Polarity.UNUSED]
+    reduced = permute_inputs_loop(pos, used)
     chow = [sum(m >> i & 1 for m in reduced.onset()) for i in range(reduced.n)]
     order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
     found = threshold._sorted_tables(reduced.n, bound).get(
-        permute_inputs(reduced, order).bits)
+        permute_inputs_loop(reduced, order).bits)
     if found is None:
         return None
     total = sum(found[0])

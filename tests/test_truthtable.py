@@ -6,8 +6,9 @@ import pytest
 
 from ftl.truthtable import (Polarity, TruthTable, apply_complements,
                             chow_parameters, parse_truth_table, permute_inputs,
-                            project_to_support, support, to_positive_form,
-                            unateness)
+                            to_positive_form, unateness)
+
+from helpers import permute_inputs_loop
 
 AND2 = parse_truth_table("8", 2)
 OR2 = parse_truth_table("E", 2)
@@ -45,7 +46,9 @@ def test_hex_round_trip():
 
 
 def test_onset_offset_partition():
-    assert sorted(MAJ3.onset() + MAJ3.offset()) == list(range(8))
+    onset = MAJ3.onset()
+    assert onset == sorted(set(onset))
+    assert [m in onset for m in range(8)] == [bool(v) for v in MAJ3.values()]
 
 
 def test_values_unpack_every_minterm():
@@ -136,22 +139,6 @@ def test_permute_inputs_round_trip():
     assert permute_inputs(permute_inputs(MAJ3, perm), inverse) == MAJ3
 
 
-def test_support_and_projection():
-    tt = parse_truth_table("A", 2)  # f = a
-    assert support(tt) == [0]
-    proj, kept = project_to_support(tt)
-    assert kept == [0]
-    assert proj.n == 1
-    assert [proj.value(0), proj.value(1)] == [0, 1]
-
-
-def test_projection_of_constant():
-    const1 = parse_truth_table("F", 2)
-    proj, kept = project_to_support(const1)
-    assert kept == []
-    assert proj.is_constant()
-
-
 # -- word-level operations against per-minterm reference loops ---------------
 
 def reference_unateness(tt):
@@ -212,3 +199,16 @@ def test_word_level_ops_match_per_minterm_loops():
             (tt, mask)
         seen.update(pol)
     assert seen == set(Polarity)
+
+
+def test_permute_inputs_matches_per_minterm_loop():
+    """Full and partial permutations, n = 1..8, including the identity."""
+    rng = random.Random(31)
+    for n in range(1, 9):
+        for _ in range(60):
+            tt = TruthTable(n, rng.getrandbits(1 << n))
+            perm = tuple(rng.sample(range(n), rng.randint(1, n)))
+            assert permute_inputs(tt, perm) == permute_inputs_loop(tt, perm), \
+                (tt, perm)
+        tt = TruthTable(n, rng.getrandbits(1 << n))
+        assert permute_inputs(tt, tuple(range(n))) == tt
