@@ -44,8 +44,6 @@ from .analysis import (
 from .program import (
     ProgrammerConfig,
     PulseSchedule,
-    apply_schedule,
-    erase_block,
     plan_program,
     program_cell,
 )

@@ -110,13 +110,9 @@ def conductivity_map(cell: FtlCell, tt: TruthTable) -> ConductivityMap:
     return ConductivityMap(records, float(on_sep), float(off_sep))
 
 
-def default_vgate_rule(vdd: float) -> float:
-    """Supply-to-flash-gate drive pairing used by the sweeps
-    (0.8 -> 0.8 ... 1.1 -> 0.95); linear: vgate = 0.4 + 0.5 * vdd."""
-    return 0.4 + 0.5 * vdd
-
-
-DEFAULT_SWEEP_VDD = (0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1)
+# Supplies of the sweep; the flash gate drive pairs with each as
+# vgate = 0.4 + 0.5 * vdd (0.8 -> 0.8 ... 1.1 -> 0.95).
+SWEEP_VDD = (0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1)
 
 
 @dataclass(frozen=True)
@@ -128,14 +124,8 @@ class SweepPoint:
     power: float
 
 
-def vdd_sweep(
-    cell: FtlCell,
-    tt: TruthTable,
-    vdd_values=DEFAULT_SWEEP_VDD,
-    vgate_rule=default_vgate_rule,
-) -> list[SweepPoint]:
-    """Re-evaluate a trained cell across supplies; the flash gate drive
-    follows vgate_rule.
+def vdd_sweep(cell: FtlCell, tt: TruthTable) -> list[SweepPoint]:
+    """Re-evaluate a trained cell at each supply of SWEEP_VDD.
 
     Programmed levels are DAC code words referenced to the gate-drive
     rail, so every stored voltage tracks the new vgate proportionally.
@@ -143,8 +133,8 @@ def vdd_sweep(
     decision at every minterm while conductance (hence delay and power)
     moves with the supply."""
     points = []
-    for vdd in vdd_values:
-        new_vgate = vgate_rule(vdd)
+    for vdd in SWEEP_VDD:
+        new_vgate = 0.4 + 0.5 * vdd
         ratio = new_vgate / cell.params.vgate
         p = replace(cell.params, vdd=vdd, vgate=new_vgate)
         c = replace(cell,

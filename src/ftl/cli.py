@@ -78,9 +78,11 @@ def _resolve_function(spec: str):
         entries = threshold.build_catalog(5)
         try:
             idx = int(spec[4:])
-            return entries[idx].table
-        except (ValueError, IndexError):
+        except ValueError:
+            idx = -1
+        if not 0 <= idx < len(entries):
             raise CliError(f"bad catalog index in {spec!r}", EXIT_VALIDATION)
+        return entries[idx].table
     if spec.startswith("hex:"):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -151,7 +153,11 @@ def cmd_train(spec, robust, margin_step, max_margin, vdd, delta, out,
     or the name f115."""
     _ensure_out(out)
     tt = _resolve_function(spec)
-    if threshold.check_threshold(tt) is None:
+    try:
+        tf = threshold.check_threshold(tt)
+    except ValueError as e:  # more inputs than the solver handles
+        raise CliError(str(e), EXIT_VALIDATION)
+    if tf is None:
         raise CliError(f"{spec} is not a threshold function", EXIT_CONVERGENCE)
     positive, mask = to_positive_form(tt)
     params = _device_params(vdd, delta)

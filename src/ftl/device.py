@@ -100,10 +100,6 @@ class VariationSample:
     global_shift: float = 0.0
     k_mult: float = 1.0
 
-    @classmethod
-    def identity(cls, n: int) -> "VariationSample":
-        return cls(local=(0.0,) * (n + 2))
-
 
 def sample_variation(
     n: int,
@@ -141,12 +137,12 @@ class FtlCell:
         object.__setattr__(self, "vt", tuple(float(v) for v in self.vt))
 
     @classmethod
-    def fresh(cls, n: int, params: DeviceParams, init_vt: float | None = None,
-              active_side: str = "right") -> "FtlCell":
-        v0 = params.vdd / 2 if init_vt is None else init_vt
+    def fresh(cls, n: int, params: DeviceParams, init_vt: float,
+              active_side: str) -> "FtlCell":
+        """Every device at init_vt but the inactive side one, parked at vdd."""
         if active_side == "right":
-            return cls(n, (v0,) * n, params.vdd, v0, params)
-        return cls(n, (v0,) * n, v0, params.vdd, params)
+            return cls(n, (init_vt,) * n, params.vdd, init_vt, params)
+        return cls(n, (init_vt,) * n, init_vt, params.vdd, params)
 
     def all_vt(self) -> tuple[float, ...]:
         return self.vt + (self.v_left, self.v_right)

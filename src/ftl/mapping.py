@@ -43,13 +43,14 @@ class CostModel:
         return self.gate_delay_base + self.gate_delay_per_fanin * gate.fanin
 
 
+COST = CostModel()  # the cost figures every mapping is scored with
+
+
 @dataclass
 class FtlInstance:
-    name: str
     q: str  # net previously driven by the replaced flip-flop
     leaves: tuple[str, ...]  # x_1 = leaves[0]
     function: TruthTable  # over the leaves, original polarity
-    positive: TruthTable
     polarity_mask: int  # leaves fed complemented
     weights: ThresholdFunction  # minimal realization of the positive form
     catalog_index: int | None = None
@@ -103,43 +104,41 @@ def _dead_gates(nl: Netlist, kept_leaves: set[str], latch: str):
     return lambda leaves: cone - _reach(nl, leaves, fixed)
 
 
-def _arrival_times(nl: Netlist, cost: CostModel,
+def _arrival_times(nl: Netlist,
                    instances: list[FtlInstance]) -> dict[str, float]:
     ftl_qs = {inst.q for inst in instances}
     arrival: dict[str, float] = {net: 0.0 for net in nl.inputs}
     for q in nl.latches:
-        arrival[q] = cost.dff_c2q
+        arrival[q] = COST.dff_c2q
     for q in ftl_qs:
-        arrival[q] = cost.ftl_c2q
+        arrival[q] = COST.ftl_c2q
     for net in nl.topo_order():
         g = nl.gates[net]
-        arrival[net] = max(arrival[x] for x in g.inputs) + cost.gate_delay(g)
+        arrival[net] = max(arrival[x] for x in g.inputs) + COST.gate_delay(g)
     return arrival
 
 
-def _worst_path(nl: Netlist, cost: CostModel,
-                instances: list[FtlInstance]) -> float:
-    arrival = _arrival_times(nl, cost, instances)
+def _worst_path(nl: Netlist, instances: list[FtlInstance]) -> float:
+    arrival = _arrival_times(nl, instances)
     worst = 0.0
     for l in nl.latches.values():
-        worst = max(worst, arrival[l.d] + cost.dff_setup)
+        worst = max(worst, arrival[l.d] + COST.dff_setup)
     for inst in instances:
         worst = max(worst,
-                    max(arrival[x] for x in inst.leaves) + cost.ftl_setup)
+                    max(arrival[x] for x in inst.leaves) + COST.ftl_setup)
     for net in nl.outputs:
         worst = max(worst, arrival.get(net, 0.0))
     return worst
 
 
-def _total_area(nl: Netlist, cost: CostModel, n_ftl: int) -> float:
-    return (sum(cost.gate_area(g) for g in nl.gates.values())
-            + cost.dff_area * len(nl.latches)
-            + cost.ftl_area * n_ftl)
+def _total_area(nl: Netlist, n_ftl: int) -> float:
+    return (sum(COST.gate_area(g) for g in nl.gates.values())
+            + COST.dff_area * len(nl.latches)
+            + COST.ftl_area * n_ftl)
 
 
 def map_ftl(
     nl: Netlist,
-    cost: CostModel | None = None,
     trainer_hook=None,  # callable(positive TruthTable) -> FtlCell | None
     k: int = 5,
     catalog=None,  # list of CatalogEntry for index annotation
@@ -148,12 +147,11 @@ def map_ftl(
     outcome.  Ties break on fewest leaves, then lexicographic leaf names."""
     if not 1 <= k <= 5:
         raise ValueError(f"k must lie in 1..5, the ftl5 fan-in; got {k}")
-    cost = cost or CostModel()
     # Replacement only deletes gates and latches, so fresh dicts suffice
     work = replace(nl, gates=dict(nl.gates), latches=dict(nl.latches))
     instances: list[FtlInstance] = []
-    area_before = _total_area(nl, cost, 0)
-    path_before = _worst_path(nl, cost, [])
+    area_before = _total_area(nl, 0)
+    path_before = _worst_path(nl, [])
     removed = 0
 
     oracle = {}  # (n, bits) -> check_threshold's answer, for this call
@@ -178,8 +176,8 @@ def map_ftl(
             if tf is None:
                 continue
             dead = dead_gates(cut.leaves)
-            saving = (sum(cost.gate_area(work.gates[g]) for g in dead)
-                      + cost.dff_area - cost.ftl_area)
+            saving = (sum(COST.gate_area(work.gates[g]) for g in dead)
+                      + COST.dff_area - COST.ftl_area)
             key = (-saving, len(cut.leaves), cut.leaves)
             if saving > 0 and (best is None or key < best[0]):
                 best = (key, cut, tt, tf, dead)
@@ -192,8 +190,7 @@ def map_ftl(
             cat_idx = catalog_by_table.get(canonicalize_np(tt))
         cell = trainer_hook(positive) if trainer_hook else None
         instances.append(FtlInstance(
-            name=f"ftl_{q}", q=q, leaves=cut.leaves, function=tt,
-            positive=positive, polarity_mask=mask, weights=tf,
+            q=q, leaves=cut.leaves, function=tt, polarity_mask=mask, weights=tf,
             catalog_index=cat_idx, cell=cell,
         ))
         del work.latches[q]
@@ -201,14 +198,14 @@ def map_ftl(
             del work.gates[g]
         removed += len(removable) + 1
 
-    area_after = _total_area(work, cost, len(instances))
+    area_after = _total_area(work, len(instances))
     summary = CostSummary(
         area_before=area_before,
         area_after=area_after,
         cells_removed=removed,
         cells_added=len(instances),
         worst_path_before=path_before,
-        worst_path_after=_worst_path(work, cost, instances),
+        worst_path_after=_worst_path(work, instances),
     )
     return MappedDesign(work, instances, summary)
 

@@ -58,7 +58,6 @@ from .truthtable import (
     apply_complements,
     chow_parameters,
     permute_inputs,
-    to_positive_form,
     unateness,
 )
 
@@ -115,7 +114,8 @@ def _chow_sort(tt: TruthTable):
     pol = unateness(tt)
     if Polarity.NONUNATE in pol or tt.is_constant():
         return None
-    pos, mask = to_positive_form(tt)
+    mask = sum(1 << i for i, p in enumerate(pol) if p is Polarity.NEGATIVE)
+    pos = apply_complements(tt, mask)
     chow = chow_parameters(pos)
     used = tuple(sorted((i for i, p in enumerate(pol)
                          if p is not Polarity.UNUSED), key=lambda i: -chow[i]))

@@ -25,8 +25,8 @@ TrainResult.stop_reason:
   attempt would repeat that stretch forever and can never converge
   (the perceptron cycling theorem, Block & Levin 1970, says this is
   how a perceptron on non-separable data behaves);
-- "bound": the kmax iteration bound (or max_iterations) ran out.  Float
-  steps need not land on a finite grid, so this stays as a safety net.
+- "bound": the kmax iteration bound ran out.  Float steps need not land
+  on a finite grid, so this stays as a safety net.
 """
 
 from __future__ import annotations
@@ -50,14 +50,10 @@ class TrainingError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     delta: float | None = None  # defaults to params.delta
-    active_side: str = "auto"  # "left" | "right" | "auto"
-    max_iterations: int | None = None  # overrides the kmax bound
     handicap_margin: float = 0.0  # siemens
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.active_side not in ("left", "right", "auto"):
-            raise ValueError(f"bad active_side {self.active_side!r}")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be positive")
 
@@ -116,8 +112,7 @@ def _train_from(
 ) -> TrainResult:
     p, n = cell.params, tt.n
     delta = config.delta if config.delta is not None else p.delta
-    bound = (config.max_iterations if config.max_iterations is not None
-             else kmax_bound(n, delta, p.vdd))
+    bound = kmax_bound(n, delta, p.vdd)
     lo, hi = p.vt_min, p.vt_max
     h = config.handicap_margin
     v = list(cell.all_vt())  # inputs, then the left and right side devices
@@ -184,17 +179,18 @@ def train(
     config: TrainConfig | None = None,
 ) -> TrainResult:
     """Train a cell to realize tt (which should be a positive-unate
-    threshold function; non-threshold inputs come back unconverged)."""
+    threshold function; non-threshold inputs come back unconverged).
+    From each start of the ladder the right side device is tried as the
+    active one first, then the left."""
     params = params or DeviceParams()
     config = config or TrainConfig()
-    sides = [config.active_side] if config.active_side != "auto" else ["right", "left"]
     # Functions whose bias must dominate the inputs (OR-like, low threshold)
     # dead-end from the midpoint start: the inputs saturate at vt_min before
     # the side device wins the race, leaving an incorrect fixed point.  A
     # weaker-input start (higher init Vt) avoids it, so retry up the ladder.
     attempts: list[Attempt] = []
     ladder = (params.vdd / 2, round(params.vdd * 7 / 9, 6))
-    for init_vt, side in itertools.product(ladder, sides):
+    for init_vt, side in itertools.product(ladder, ("right", "left")):
         cell = FtlCell.fresh(tt.n, params, init_vt, side)
         result = _train_from(cell, tt, config, side)
         attempts.append(Attempt(init_vt, side, result.stop_reason,

@@ -9,9 +9,8 @@ import pytest
 from ftl.analysis import (Datapath, HIST_BINS, HOLD_SCENARIO, McConfig,
                           RetuneError, SETUP_SCENARIO, YIELD_BLOCK,
                           check_timing, conductivity_map, margin_schedule,
-                          default_vgate_rule, retune_delay, run_timing_fix,
-                          vdd_sweep, write_histogram_csv, write_yield_csv,
-                          yield_mc)
+                          retune_delay, run_timing_fix, vdd_sweep,
+                          write_histogram_csv, write_yield_csv, yield_mc)
 from ftl.device import (DeviceParams, evaluate, sample_variation,
                         verify_cell, worst_case_delay)
 from ftl.threshold import f115_table
@@ -100,11 +99,12 @@ def test_conductivity_separation_improves(f115_levels):
     assert robust.min_separation > base.min_separation
 
 
-def test_vgate_rule_pairs():
+def test_vgate_rule_pairs(f115_levels):
     pairs = {0.8: 0.800, 0.85: 0.825, 0.9: 0.850, 0.95: 0.875,
              1.0: 0.900, 1.05: 0.925, 1.1: 0.950}
-    for vdd, vgate in pairs.items():
-        assert default_vgate_rule(vdd) == pytest.approx(vgate)
+    pts = vdd_sweep(f115_levels[-1].result.cell, F115)
+    assert [p.vdd for p in pts] == list(pairs)
+    assert [p.vgate for p in pts] == pytest.approx(list(pairs.values()))
 
 
 def test_vdd_sweep_trends(f115_levels):
@@ -118,11 +118,14 @@ def test_vdd_sweep_trends(f115_levels):
 
 
 def test_vdd_sweep_identity_point(f115_levels):
-    cell = f115_levels[0].result.cell
-    pts = vdd_sweep(cell, F115, vdd_values=(0.9,),
-                    vgate_rule=lambda v: cell.params.vgate)
-    assert pts[0].functional
-    assert pts[0].delay == pytest.approx(worst_case_delay(cell, F115))
+    """At 1.0 V the sweep drives the flash gate at 0.9 V, the trained
+    cell's own vgate: no Vt moves, so the delay is the cell's own."""
+    for lv in (f115_levels[0], f115_levels[-1]):
+        cell = lv.result.cell
+        point = vdd_sweep(cell, F115)[4]
+        assert (point.vdd, point.vgate) == (1.0, cell.params.vgate)
+        assert point.functional
+        assert point.delay == worst_case_delay(cell, F115)
 
 
 def test_check_timing_violation_arithmetic():

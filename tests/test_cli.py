@@ -65,6 +65,20 @@ def test_train_bad_spec(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("spec, code", [
+    ("cat:-1", 2), ("cat:117", 2), ("cat:116", 0),
+    ("hex:" + "f" * 31 + "e:7", 2), ("hex:8" + "0" * 63 + ":8", 2),
+], ids=["cat-1", "cat117", "cat116", "hex7", "hex8"])
+def test_train_spec_range(runner, tmp_path, spec, code):
+    """Catalog indices run 0..116 and the solver takes at most 6 inputs;
+    anything outside is a validation error, not a traceback."""
+    r = runner.invoke(main, ["train", spec, "--out", str(tmp_path)])
+    assert r.exit_code == code, r.output
+    assert (tmp_path / "cell.json").exists() == (code == 0)
+    if code:
+        assert "Error:" in r.output
+
+
 def test_robust_flag_f115(runner, tmp_path):
     r = runner.invoke(main, ["train", "f115", "--robust", "--out",
                              str(tmp_path), "--no-header"])

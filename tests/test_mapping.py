@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ftl import mapping
-from ftl.mapping import (CostModel, export_mapped_blif, map_ftl,
+from ftl.mapping import (COST, export_mapped_blif, map_ftl,
                          verify_equivalence, write_cost_csv)
 from ftl.netlist import enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, f115_table
@@ -41,8 +41,8 @@ def test_hybrid_two_replacements(catalog):
 def test_hybrid_cost_accounting_exact(catalog):
     nl = load("fig2_hybrid.blif")
     before = copy.deepcopy(nl)
-    cost = CostModel()
-    design = map_ftl(nl, cost=cost, catalog=catalog)
+    cost = COST
+    design = map_ftl(nl, catalog=catalog)
     assert (nl.gates, nl.latches) == (before.gates, before.latches)
     removed_gates = set(nl.gates) - set(design.netlist.gates)
     removed_area = sum(cost.gate_area(nl.gates[g]) for g in removed_gates)

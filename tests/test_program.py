@@ -1,13 +1,14 @@
 """Post-fab programmer: erase, pulse planning, quantization."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
 from ftl.analysis import margin_schedule
-from ftl.device import DeviceParams, verify_cell
-from ftl.program import (ProgrammerConfig, apply_schedule, erase_block,
-                         plan_program, program_cell, write_schedule_csv)
+from ftl.device import verify_cell
+from ftl.program import (ProgrammerConfig, plan_program, program_cell,
+                         write_schedule_csv)
 from ftl.threshold import build_catalog, f115_table
 from ftl.train import train
 from ftl.truthtable import parse_truth_table, to_positive_form
@@ -19,25 +20,20 @@ def trained_cell(hexspec="8", n=2):
     return train(parse_truth_table(hexspec, n)).cell
 
 
+def erased_cell(cell):
+    """cell with every device at the erased level, vt_min."""
+    v = cell.params.vt_min
+    return replace(cell, vt=(v,) * cell.n, v_left=v, v_right=v)
+
+
 def test_config_defaults():
-    p = DeviceParams()
     assert CFG.pulse_resolution == 0.010
-    cell = trained_cell()
-    assert CFG.erased_level(cell) == p.vt_min
-
-
-def test_erase_block_resets_everything():
-    cells = [trained_cell(), trained_cell("E8", 3)]
-    erased = erase_block(cells, CFG)
-    for c in erased:
-        lvl = CFG.erased_level(c)
-        assert all(v == lvl for v in c.all_vt())
-    assert erase_block(erased, CFG) == erased  # idempotent
-    assert erase_block([], CFG) == []
+    with pytest.raises(ValueError):
+        ProgrammerConfig(pulse_resolution=0.0)
 
 
 def test_plan_zero_pulses_for_erased_target():
-    erased = erase_block([trained_cell()], CFG)[0]
+    erased = erased_cell(trained_cell())
     sched = plan_program(erased, CFG)
     assert sched.counts == (0,) * 4  # 2 inputs + 2 side devices
     assert sched.achieved == erased.all_vt()
@@ -68,26 +64,16 @@ def test_plan_rejects_target_below_erased():
         plan_program(low, CFG)
 
 
-def test_apply_requires_erased_cell():
-    cell = trained_cell()
-    sched = plan_program(cell, CFG)
-    with pytest.raises(ValueError):
-        apply_schedule(cell, sched)  # not erased
-
-
-def test_apply_zero_schedule_is_identity():
-    erased = erase_block([trained_cell()], CFG)[0]
-    sched = plan_program(erased, CFG)
-    assert apply_schedule(erased, sched) == erased
-
-
 def test_program_round_trip():
     cell = trained_cell("E8", 3)
     programmed = program_cell(cell, CFG)
+    assert programmed.all_vt() == plan_program(cell, CFG).achieved
+    assert (programmed.n, programmed.params) == (cell.n, cell.params)
     for got, want in zip(programmed.all_vt(), cell.all_vt()):
         assert abs(got - want) <= CFG.pulse_resolution / 2 + 1e-12
     for got in programmed.all_vt():
-        assert got >= CFG.erased_level(cell)
+        assert got >= cell.params.vt_min
+    assert program_cell(erased_cell(cell), CFG) == erased_cell(cell)
 
 
 def test_quantized_robust_f115_still_verifies():
@@ -106,7 +92,7 @@ def test_quantized_catalog_functions_verify():
 
 
 def test_schedule_csv():
-    sched = plan_program(erase_block([trained_cell()], CFG)[0], CFG)
+    sched = plan_program(erased_cell(trained_cell()), CFG)
     buf = io.StringIO()
     write_schedule_csv({0: sched}, buf)
     lines = buf.getvalue().splitlines()

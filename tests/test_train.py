@@ -15,6 +15,9 @@ from ftl.train import (TraceEntry, TrainConfig, TrainingError, TrainResult,
 from ftl.truthtable import (Polarity, TruthTable, parse_truth_table,
                             to_positive_form, unateness)
 
+# ftl.train resolves to the train function in the package namespace.
+TRAIN_MODULE = sys.modules["ftl.train"]
+
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
 
@@ -39,13 +42,12 @@ def test_and2_converges_and_verifies():
 
 
 def test_xor2_does_not_converge():
-    cfg = TrainConfig(active_side="right")
-    result = train(XOR2, config=cfg)
+    result = train(XOR2)
     assert not result.converged
     assert result.stop_reason == "cycle"
     # The reported cell is the repeated state: replaying from it comes
     # back to it.
-    again = _train_from(result.cell, XOR2, cfg, "right")
+    again = _train_from(result.cell, XOR2, TrainConfig(), result.active_side)
     assert again.cell == result.cell
     assert again.stop_reason == "cycle"
 
@@ -110,10 +112,7 @@ def test_every_attempt_stops_for_a_proven_reason(by_reference):
 
 
 def test_failed_certificate_raises(monkeypatch):
-    # ftl.train resolves to the train function in the package namespace,
-    # so patch the module object itself.
-    monkeypatch.setattr(sys.modules["ftl.train"], "verify_cell",
-                        lambda *args: False)
+    monkeypatch.setattr(TRAIN_MODULE, "verify_cell", lambda *args: False)
     with pytest.raises(TrainingError):
         train(AND2)
 
@@ -199,11 +198,13 @@ def test_f115_v1_strictly_smallest():
     assert all(vt[0] < v for v in vt[1:])
 
 
-def test_max_iterations_override():
-    result = train(f115_table(), config=TrainConfig(max_iterations=3))
+def test_max_iterations_override(monkeypatch):
+    monkeypatch.setattr(TRAIN_MODULE, "kmax_bound", lambda *args: 3)
+    result = train(f115_table())
     assert not result.converged
-    assert result.iterations <= 4
+    assert result.iterations == 4
     assert result.stop_reason == "bound"
+    assert [a.stop_reason for a in result.attempts] == ["bound"] * 4
 
 
 def test_catalog_sample_converges():
@@ -231,8 +232,7 @@ def _reference_train_from(cell, tt, config, side):
     branch conductances once per cell state, must match bit for bit."""
     p = cell.params
     delta = config.delta if config.delta is not None else p.delta
-    bound = (config.max_iterations if config.max_iterations is not None
-             else kmax_bound(tt.n, delta, p.vdd))
+    bound = TRAIN_MODULE.kmax_bound(tt.n, delta, p.vdd)
     h = config.handicap_margin
     vt = list(cell.vt)
     vl, vr = cell.v_left, cell.v_right
@@ -322,16 +322,22 @@ def by_reference(monkeypatch):
 # changes no decision, so the trace run also stands for the default
 # config; the slower configs take every third class to keep the suite fast.
 
-@pytest.mark.parametrize("cfg, stride", [
-    (TrainConfig(record_trace=True), 1),
-    (TrainConfig(delta=0.005, handicap_margin=0.04), 3),
-    (TrainConfig(max_iterations=40), 3),
+@pytest.mark.parametrize("cfg, stride, bound", [
+    (TrainConfig(record_trace=True), 1, None),
+    (TrainConfig(delta=0.005, handicap_margin=0.04), 3, None),
+    (TrainConfig(), 3, 40),
 ], ids=["trace", "handicap", "bound"])
-def test_matches_reference_catalog(by_reference, cfg, stride):
+def test_matches_reference_catalog(by_reference, monkeypatch, cfg, stride,
+                                   bound):
+    if bound is not None:  # both loops read the bound through the module
+        monkeypatch.setattr(TRAIN_MODULE, "kmax_bound", lambda *args: bound)
+    stops = set()
     for e in build_catalog(5)[::stride]:
         positive, _ = to_positive_form(e.table)
-        assert (train(positive, config=cfg)
-                == by_reference(train, positive, config=cfg)), e.index
+        result = train(positive, config=cfg)
+        assert result == by_reference(train, positive, config=cfg), e.index
+        stops.update(a.stop_reason for a in result.attempts)
+    assert ("bound" in stops) == (bound is not None)
 
 
 def test_matches_reference_margin_schedule(by_reference):
