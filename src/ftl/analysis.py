@@ -38,8 +38,10 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= 2**32:  # trial indices fit in 32 bits
+            raise ValueError("trials must lie in 1..2^32")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -60,14 +62,16 @@ HIST_BINS = 20  # delay histogram bins over the passing trials
 def yield_mc(cell: FtlCell, tt: TruthTable, mc: McConfig) -> YieldReport:
     """One variation sample per trial; a trial passes iff every minterm
     matches tt with no metastable flag.  Per-trial delay is the max
-    finite evaluate delay (worst-case C2Q).  Deterministic given seed."""
+    finite evaluate delay (worst-case C2Q).  Trial t is drawn from the
+    SeedSequence((mc.seed, t)) stream, as sample_variation(..., t) alone
+    would draw it, one block of YIELD_BLOCK trials at a time."""
     fail_counts = np.zeros(tt.size, dtype=np.int64)
     rows = []
     for start in range(0, mc.trials, YIELD_BLOCK):
         trials = range(start, min(start + YIELD_BLOCK, mc.trials))
-        samples = (sample_variation(cell.n, mc.sigma_local, mc.sigma_global,
-                                    mc.sigma_k, mc.seed, t) for t in trials)
-        miss, worst = minterm_checks(cell, tt, samples)
+        block = sample_variation(cell.n, mc.sigma_local, mc.sigma_global,
+                                 mc.sigma_k, mc.seed, trials)
+        miss, worst = minterm_checks(cell, tt, block)
         fail_counts += miss.sum(axis=0)
         rows += [(t, False, math.nan) if bad else (t, True, w)
                  for t, bad, w in zip(trials, miss.any(axis=1), worst)]

@@ -110,7 +110,8 @@ no_header_option = click.option("--no-header", is_flag=True,
                                 help="Suppress the timestamped header line.")
 vdd_option = click.option("--vdd", default=0.9, show_default=True)
 delta_option = click.option("--delta", default=0.02, show_default=True)
-seed_option = click.option("--seed", default=0, show_default=True)
+seed_option = click.option("--seed", default=0, show_default=True,
+                           type=click.IntRange(min=0))
 
 
 @click.group()
@@ -285,7 +286,7 @@ EXPERIMENTS = {
 @click.argument("name")
 @click.argument("args", nargs=-1)
 @click.option("--trials", default=10000, show_default=True,
-              type=click.IntRange(min=1))
+              type=click.IntRange(1, 2**32))
 @click.option("--sigma-local", default=analysis.McConfig.sigma_local,
               show_default=True, type=click.FloatRange(min=0))
 @click.option("--sigma-global", default=analysis.McConfig.sigma_global,
@@ -304,6 +305,9 @@ def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
     if name not in EXPERIMENTS:
         raise CliError(f"unknown experiment {name!r}; choose from "
                        f"{', '.join(sorted(EXPERIMENTS))}", EXIT_VALIDATION)
+    if len(args) > (name == "timing-fix"):
+        raise CliError(f"unexpected arguments to {name}: {' '.join(args)}",
+                       EXIT_VALIDATION)
     _ensure_out(out)
     params = _device_params(vdd, delta)
     kwargs = {"trials": trials, "sigma_local": sigma_local,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -94,11 +95,80 @@ def branch_conductance(vt_eff: float, params: DeviceParams) -> float:
 @dataclass(frozen=True)
 class VariationSample:
     """Per-device local Vt shifts (inputs first, then left and right side
-    devices), a shared global Vt shift, and a conductance multiplier."""
+    devices), a shared global Vt shift, and a conductance multiplier.  A
+    block of trials holds arrays with one entry per trial: local
+    [n+2, trials], global_shift and k_mult [trials]."""
 
     local: tuple[float, ...]
     global_shift: float = 0.0
     k_mult: float = 1.0
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k < count, as a column: the constants a
+    SeedSequence hash steps through, whatever the words it hashes."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hashmix(words, consts):  # one hash per step of consts, for all trials
+    out = (words ^ consts[:-1]) * consts[1:]
+    return out ^ (out >> 16)
+
+
+def _mix(x, y):
+    out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return out ^ (out >> 16)
+
+
+def _pcg64_seeds(seed: int, trials: np.ndarray) -> np.ndarray:
+    """SeedSequence((seed, t)).generate_state(4, np.uint64) of every trial t,
+    [len(trials), 4]: numpy's pool-of-4 hash (stable by NEP 19) run on
+    all trials at once, one column per trial."""
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    # SeedSequence splits an int into 32-bit words, low first.
+    words = [seed >> s & _MASK32
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(4, len(words) + 1), len(trials)), np.uint32)
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = trials
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy) + 1)
+    pool = _hashmix(entropy[:4], consts[:5])
+    k = 4
+    for src in range(4):  # src's hash stays fixed while the others absorb it
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + 4]))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, consts[k:k + 5]))
+        k += 4
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],
+                     _hash_consts(0x8B51F9DD, 0x58F38DED, 9))
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _pcg64_from_words():
+    """PCG64 seeded straight from a trial's hashed words, through numpy's
+    ISeedSequence interface.  Built on first use, so that importing ftl
+    does not load numpy.random (~15 ms) for runs that draw no variation."""
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: PCG64(Seeded(words))
 
 
 def sample_variation(
@@ -107,17 +177,37 @@ def sample_variation(
     sigma_global: float,
     sigma_k: float,
     seed: int,
-    trial: int,
+    trial: int | Sequence[int],
 ) -> VariationSample:
-    """Deterministic Gaussian variation draw for one Monte Carlo trial;
-    identical (seed, trial) always reproduce the identical sample."""
+    """Deterministic Gaussian variation draw for one Monte Carlo trial (an
+    int) or for a block of trials (a sequence of ints; see VariationSample).
+
+    Trial t of seed s is drawn from its own stream, PCG64 seeded by
+    SeedSequence((s, t)), the stream np.random.default_rng((s, t)) gives:
+    the same (seed, trial) reproduce the same sample whether drawn alone or
+    in any block.  The stream's normals fill the local shifts, the global
+    shift and log k_mult in that order, each only if its sigma is nonzero.
+    Trials must lie in [0, 2^32)."""
     if min(sigma_local, sigma_global, sigma_k) < 0:
         raise ValueError("sigmas must be nonnegative")
-    rng = np.random.default_rng((int(seed), int(trial)))
-    local = rng.normal(0.0, sigma_local, n + 2) if sigma_local else np.zeros(n + 2)
-    gshift = float(rng.normal(0.0, sigma_global)) if sigma_global else 0.0
-    kmult = float(np.exp(rng.normal(0.0, sigma_k))) if sigma_k else 1.0
-    return VariationSample(tuple(float(v) for v in local), gshift, kmult)
+    trials = np.atleast_1d(np.asarray(trial, dtype=np.int64))
+    if trials.size and not (0 <= trials.min() and trials.max() <= _MASK32):
+        raise ValueError("trials must lie in [0, 2^32)")
+    sigmas = np.repeat([sigma_local, sigma_global, sigma_k], [n + 2, 1, 1])
+    drawn = sigmas != 0
+    seeds = _pcg64_seeds(int(seed), trials)
+    x = np.zeros((len(trials), n + 4))
+    if drawn.any():
+        z = np.empty((len(trials), int(drawn.sum())))
+        pcg64 = _pcg64_from_words()
+        for words, row in zip(seeds, z):
+            np.random.Generator(pcg64(words)).standard_normal(out=row)
+        x[:, drawn] = 0.0 + sigmas[drawn] * z  # as Generator.normal(0, sigma)
+    local, gshift, kmult = x[:, :n + 2].T, x[:, n + 2], np.exp(x[:, n + 3])
+    if np.ndim(trial) == 0:
+        return VariationSample(tuple(local[:, 0].tolist()), float(gshift[0]),
+                               float(kmult[0]))
+    return VariationSample(local, gshift, kmult)
 
 
 @dataclass(frozen=True)
@@ -185,7 +275,8 @@ class EvalResult:
 
 def _devices(cell: FtlCell, sample: VariationSample | None):
     """Branch conductances (inputs, then the left and right side devices)
-    and k_mult under one variation sample.  An input's Vt shifts by
+    and k_mult under one variation sample; under a block, one row per
+    device with one entry per trial.  An input's Vt shifts by
     (global + local), a side device's by global and then local."""
     p = cell.params
     if sample is None:
@@ -195,6 +286,9 @@ def _devices(cell: FtlCell, sample: VariationSample | None):
     g, local = sample.global_shift, sample.local
     vts = [v + (g + dv) for v, dv in zip(cell.vt, local)]
     vts += [cell.v_left + g + local[-2], cell.v_right + g + local[-1]]
+    if np.ndim(g):  # Python's ** per trial too: np.power can differ from it
+        return np.array([[branch_conductance(v, p) for v in row.tolist()]
+                         for row in vts]), sample.k_mult
     return [branch_conductance(v, p) for v in vts], sample.k_mult
 
 
@@ -248,12 +342,14 @@ def evaluate(
                       metastable)
 
 
-def conductances(cell: FtlCell, samples=(None,)):
-    """(G_L, G_R) of every minterm under each variation sample (None is
-    nominal), shaped [len(samples), 2^n].  Devices are added in respond's
-    order and scaled by k_mult last, so every entry equals evaluate's."""
-    g, kmult = map(np.array, zip(*(_devices(cell, s) for s in samples)))
+def conductances(cell: FtlCell, sample: VariationSample | None = None):
+    """(G_L, G_R) of every minterm under a variation sample (None is
+    nominal), shaped [trials, 2^n]: one row, or one per trial of a block.
+    Devices are added in respond's order and scaled by k_mult last, so
+    every entry equals evaluate's."""
+    g, kmult = _devices(cell, sample)
     n = cell.n
+    g, kmult = np.array(g).reshape(n + 2, -1).T, np.array(kmult).reshape(-1)
     inputs = np.zeros((len(g), 1 << n))  # summed inputs at 1, per minterm
     for i in range(n):
         on = ((np.arange(1 << n) >> i) & 1).astype(bool)
@@ -263,11 +359,13 @@ def conductances(cell: FtlCell, samples=(None,)):
             (inputs[:, ::-1] + g[:, n + 1:]) * kmult[:, None])
 
 
-def minterm_checks(cell: FtlCell, tt: TruthTable, samples=(None,),
+def minterm_checks(cell: FtlCell, tt: TruthTable,
+                   sample: VariationSample | None = None,
                    margin: float = 0.0) -> tuple[np.ndarray, list[float]]:
-    """Per sample: which minterms miss tt under evaluate's margin rule or
-    are metastable, [len(samples), tt.size], and the worst-case delay."""
-    gap = np.subtract(*conductances(cell, samples))[:, :tt.size]
+    """Per trial of the sample: which minterms miss tt under evaluate's
+    margin rule or are metastable, [trials, tt.size], and the worst-case
+    delay."""
+    gap = np.subtract(*conductances(cell, sample))[:, :tt.size]
     want = np.array(tt.values(), dtype=bool)
     handicap = np.where(want, margin, -margin)
     miss = (gap > handicap) != want

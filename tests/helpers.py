@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ftl.device import evaluate
+from ftl.device import VariationSample, evaluate
 from ftl.truthtable import Polarity, TruthTable, unateness
 
 
@@ -19,6 +19,20 @@ def realizes(tf, tt) -> bool:
         (sum(w for i, w in enumerate(tf.weights) if (m >> i) & 1)
          >= tf.threshold) == bool(v)
         for m, v in enumerate(tt.values()))
+
+
+def reference_variation(n, sigma_local, sigma_global, sigma_k, seed,
+                        trial) -> VariationSample:
+    """One trial's variation sample drawn from its own
+    np.random.default_rng((seed, trial)) stream: n + 2 local shifts, the
+    global shift, then log k_mult, each drawn only if its sigma is
+    nonzero."""
+    rng = np.random.default_rng((seed, trial))
+    local = (rng.normal(0.0, sigma_local, n + 2) if sigma_local
+             else np.zeros(n + 2))
+    gshift = float(rng.normal(0.0, sigma_global)) if sigma_global else 0.0
+    kmult = float(np.exp(rng.normal(0.0, sigma_k))) if sigma_k else 1.0
+    return VariationSample(tuple(float(v) for v in local), gshift, kmult)
 
 
 def gate_eval(gate, values) -> int:

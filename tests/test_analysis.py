@@ -11,11 +11,11 @@ from ftl.analysis import (Datapath, HIST_BINS, HOLD_SCENARIO, McConfig,
                           check_timing, conductivity_map, margin_schedule,
                           retune_delay, run_timing_fix, vdd_sweep,
                           write_histogram_csv, write_yield_csv, yield_mc)
-from ftl.device import (DeviceParams, evaluate, sample_variation,
-                        verify_cell, worst_case_delay)
+from ftl.device import DeviceParams, evaluate, verify_cell, worst_case_delay
 from ftl.threshold import f115_table
 from ftl.train import train
 from ftl.truthtable import parse_truth_table
+from helpers import reference_variation
 
 F115 = f115_table()
 
@@ -23,6 +23,13 @@ F115 = f115_table()
 @pytest.fixture(scope="module")
 def f115_levels():
     return margin_schedule(F115, DeviceParams())
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": 2**32 + 1},
+                                    {"seed": -1}])
+def test_mc_config_rejects_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        McConfig(**kwargs)
 
 
 def test_yield_is_one_without_variation():
@@ -50,13 +57,13 @@ def test_yield_histogram_conserved():
     assert 0.0 <= rep.yield_fraction <= 1.0
 
 
-def test_yield_matches_per_trial_evaluate():
+def _check_yield_against_evaluate(mc):
+    """yield_mc against per-trial evaluate on the reference draw."""
     cell = train(F115).cell
-    mc = McConfig(trials=YIELD_BLOCK + 50, sigma_local=0.05, seed=5)
     rows, tally = [], {}
     for t in range(mc.trials):
-        s = sample_variation(5, mc.sigma_local, mc.sigma_global, mc.sigma_k,
-                             mc.seed, t)
+        s = reference_variation(5, mc.sigma_local, mc.sigma_global,
+                                mc.sigma_k, mc.seed, t)
         results = [evaluate(cell, m, 0.0, s) for m in range(32)]
         bad = [m for m, r in enumerate(results)
                if r.metastable or r.y != F115.value(m)]
@@ -68,12 +75,29 @@ def test_yield_matches_per_trial_evaluate():
     counts, edges = np.histogram(passing, bins=HIST_BINS)
 
     rep = yield_mc(cell, F115, mc)
-    assert 0 < len(passing) < mc.trials and tally
+    assert passing
+    if mc.sigma_local or mc.sigma_global:  # k_mult alone flips no decision
+        assert len(passing) < mc.trials and tally
     assert rep.rows == rows
     assert rep.passing == len(passing)
     assert rep.fail_tally == tally
     assert np.array_equal(rep.hist_counts, counts)
     assert np.array_equal(rep.hist_edges, edges)
+
+
+def test_yield_matches_per_trial_evaluate():
+    _check_yield_against_evaluate(
+        McConfig(trials=YIELD_BLOCK + 50, sigma_local=0.05, seed=5))
+
+
+@pytest.mark.parametrize("mc", [
+    McConfig(trials=300, sigma_local=0.05, sigma_global=0.0, seed=2**32),
+    McConfig(trials=300, sigma_local=0.0, sigma_global=0.05, sigma_k=0.0),
+    McConfig(trials=300, sigma_local=0.05, sigma_k=0.0, seed=1),
+    McConfig(trials=300, sigma_local=0.0, sigma_global=0.0, seed=2),
+], ids=["l-0-k", "0-g-0", "l-g-0", "0-0-k"])
+def test_zero_sigma_layouts_match_per_trial_evaluate(mc):
+    _check_yield_against_evaluate(mc)
 
 
 def test_robust_yield_beats_baseline(f115_levels):

@@ -100,6 +100,26 @@ def test_unknown_experiment(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [["conductivity", "bogus", "extra"],
+                                  ["vdd-sweep", "x"],
+                                  ["timing-fix", "setup", "hold"]])
+def test_extra_experiment_arguments_rejected(runner, tmp_path, args):
+    r = runner.invoke(main, ["experiments", *args, "--out", str(tmp_path)])
+    assert r.exit_code == 2
+    assert "unexpected arguments" in r.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", [["experiments", "delay-hist"],
+                                     ["map", f"{CORPUS}/fig2_hybrid.blif"]])
+def test_negative_seed_rejected(runner, tmp_path, command):
+    r = runner.invoke(main, [*command, "--seed", "-1", "--out",
+                             str(tmp_path)])
+    assert r.exit_code == 2
+    assert "--seed" in r.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_yield_sweep_monotone(runner, tmp_path):
     r = runner.invoke(main, ["experiments", "yield-sweep", "--trials", "500",
                              "--out", str(tmp_path), "--no-header"])
@@ -179,7 +199,8 @@ def test_map_ftl_k_out_of_range(k, with_catalog):
 @pytest.mark.parametrize("flag", [["--trials", "0"], ["--trials", "-5"],
                                   ["--sigma-local", "-0.1"],
                                   ["--sigma-global", "-0.1"],
-                                  ["--sigma-k", "-1"]])
+                                  ["--sigma-k", "-1"],
+                                  ["--trials", str(2**32 + 1)]])
 def test_mc_flags_out_of_range(runner, tmp_path, flag):
     r = runner.invoke(main, ["experiments", "yield-sweep", *flag, "--out",
                              str(tmp_path)])

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftl.device import (DeviceParams, FtlCell, VariationSample,
+from ftl.device import (DeviceParams, FtlCell, VariationSample, _pcg64_seeds,
                         branch_conductance, conductances, evaluate,
                         model_power, respond, sample_variation, verify_cell,
                         worst_case_delay)
 from ftl.threshold import f115_table
 from ftl.train import train
 from ftl.truthtable import TruthTable, parse_truth_table
+from helpers import reference_variation
 
 
 def test_params_defaults():
@@ -131,10 +132,44 @@ def test_variation_rejects_negative_sigma():
         sample_variation(2, -0.1, 0.0, 0.0, seed=0, trial=0)
 
 
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (0, 1 << 32),
+                                         (-1, range(3)),
+                                         (0, [5, 1 << 32])])
+def test_variation_rejects_out_of_range_stream(seed, trial):
+    with pytest.raises(ValueError):
+        sample_variation(2, 0.0, 0.0, 0.0, seed, trial)
+
+
+def test_stream_seeds_equal_seed_sequence():
+    trials = np.array([0, 1, 4095, 4096, 2**32 - 1])
+    for seed in (0, 1, 59_999, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3):
+        words = _pcg64_seeds(seed, trials)
+        assert words.shape == (len(trials), 4) and words.dtype == np.uint64
+        for t, row in zip(trials.tolist(), words):
+            expect = np.random.SeedSequence((seed, t)).generate_state(
+                4, np.uint64)
+            assert np.array_equal(row, expect), (seed, t)
+
+
+@pytest.mark.parametrize("sigmas", [(0.02, 0.012, 0.05), (0.02, 0.0, 0.05),
+                                    (0.0, 0.012, 0.0), (0.02, 0.012, 0.0),
+                                    (0.0, 0.0, 0.05), (0.0, 0.0, 0.0)])
+def test_block_draw_equals_reference_stream(sigmas):
+    for seed in (0, 2**32, 2**64 + 5):
+        trials = [0, 1, 4095, 4096, 2**32 - 1]
+        block = sample_variation(3, *sigmas, seed, trials)
+        assert np.shape(block.local) == (5, len(trials))
+        for col, t in enumerate(trials):
+            ref = reference_variation(3, *sigmas, seed, t)
+            assert sample_variation(3, *sigmas, seed, t) == ref
+            assert VariationSample(tuple(block.local[:, col].tolist()),
+                                   float(block.global_shift[col]),
+                                   float(block.k_mult[col])) == ref
+
+
 def test_variation_mean_near_zero():
     sigma = 0.02
-    shifts = np.array([sample_variation(0, sigma, 0.0, 0.0, 0, t).local
-                       for t in range(50_000)]).ravel()
+    shifts = sample_variation(0, sigma, 0.0, 0.0, 0, range(50_000)).local
     assert abs(shifts.mean()) < 3 * sigma / math.sqrt(shifts.size)
 
 
@@ -173,7 +208,9 @@ def test_conductances_equal_evaluate_bit_for_bit(n):
         cell = FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p)
         samples = [None] + [sample_variation(n, 0.05, 0.03, 0.1, c, t)
                             for t in range(5)]
-        g_left, g_right = conductances(cell, samples)
+        block = sample_variation(n, 0.05, 0.03, 0.1, c, range(5))
+        g_left, g_right = map(np.vstack, zip(conductances(cell),
+                                             conductances(cell, block)))
         assert g_left.shape == g_right.shape == (len(samples), 1 << n)
         for row, s in enumerate(samples):
             for m in range(1 << n):
