@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import FtlCell, evaluate
-from .netlist import (Netlist, _read, all_patterns, cut_function,
-                      enumerate_cuts, write_blif)
+from .netlist import (Netlist, _post_order, _read, all_patterns,
+                      cut_function, enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
 from .truthtable import TruthTable, to_positive_form
 
@@ -78,30 +78,19 @@ class MappedDesign:
     cost: CostSummary
 
 
-def _reach(nl: Netlist, roots, stop: set[str]) -> set[str]:
-    """Gates reachable backward from roots without entering stop."""
-    reached: set[str] = set()
-    stack = [r for r in roots if r in nl.gates]
-    while stack:
-        net = stack.pop()
-        if net in reached or net in stop:
-            continue
-        reached.add(net)
-        stack.extend(x for x in nl.gates[net].inputs if x in nl.gates)
-    return reached
-
-
 def _dead_gates(nl: Netlist, kept_leaves: set[str], latch: str):
     """Per-cut finder of the gates left unreferenced when latch's cone is
-    replaced by a cell on the cut's leaves.  What the outputs, the other
-    latches' data inputs and kept_leaves hold live is walked once; each call
-    walks only from its leaves, stopping at that fixed live set.  Only the
-    latch's own cone can die, so dangling gates are never counted."""
+    replaced by a cell on the cut's leaves.  The outputs, the other
+    latches' data inputs, kept_leaves and every gate outside the latch's
+    whole cone (mapping deletes none of them) hold live a fixed set, walked
+    once; each call walks only from its leaves, stopping at that set."""
+    d = nl.latches[latch].d
     roots = kept_leaves | set(nl.outputs)
     roots.update(l.d for q, l in nl.latches.items() if q != latch)
-    fixed = _reach(nl, roots, set())
-    cone = _reach(nl, [nl.latches[latch].d], fixed)
-    return lambda leaves: cone - _reach(nl, leaves, fixed)
+    roots.update(set(nl.gates).difference(_post_order(nl, [d])))
+    fixed = set(_post_order(nl, roots))
+    cone = set(_post_order(nl, [d], fixed))
+    return lambda leaves: cone.difference(_post_order(nl, leaves, fixed))
 
 
 def _arrival_times(nl: Netlist,

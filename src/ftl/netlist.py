@@ -1,10 +1,14 @@
 """Gate-level sequential netlists: a BLIF subset parser, cycle-accurate
 simulation, k-feasible cut enumeration, and cone truth-table extraction.
 
-Simulation runs one gate program, `Netlist.program()`: (net, inputs,
-table bits) per gate in topological order.  Each net value is a word with
-one pattern per bit of a mask `ones`, so one pass evaluates one pattern or
-all 2^n assignments of n sources, as `cut_function` does for a cone.
+Every walk over the gates is `_post_order`: the gates behind some roots,
+each after all of its inputs, stopping at given nets.  Simulation runs
+`Netlist.program()`, that walk over all gates as (net, inputs, table bits),
+in `step`.  Each net value is a word with one pattern per bit of a mask
+`ones`, so one pass evaluates one pattern or all 2^n assignments of n
+sources.  `enumerate_cuts` merges fan-in cuts along the walk of a root's
+cone, and `cut_function` runs the walk from a cut's root, stopped at its
+leaves, over every leaf pattern at once.
 
 Supported BLIF directives: .model, .inputs, .outputs, .names (single
 output cover), .latch (D flip-flop), .end.
@@ -12,7 +16,7 @@ output cover), .latch (D flip-flop), .end.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .truthtable import TruthTable, _low_halves
@@ -68,42 +72,15 @@ class Netlist:
                 raise NetlistError(f"output net {net!r} has no driver")
         self.topo_order()  # raises on combinational loops
 
-    def topo_order(self, within: Collection[str] | None = None) -> list[str]:
+    def topo_order(self) -> list[str]:
         """Gate outputs in topological order; latch outputs and PIs are
-        sources.  Given `within`, only those gates are ordered and every
-        other net is a source."""
-        gates = self.gates if within is None else within
-        order: list[str] = []
-        state: dict[str, int] = {}  # 0 visiting, 1 done
+        sources."""
+        return _post_order(self, sorted(self.gates))
 
-        sources = set(self.inputs) | set(self.latches)
-        stack: list[tuple[str, bool]] = []
-        for root in sorted(gates):
-            if root in state and state[root]:
-                continue
-            stack.append((root, False))
-            while stack:
-                net, expanded = stack.pop()
-                if net in sources or (state.get(net) == 1):
-                    continue
-                if expanded:
-                    state[net] = 1
-                    order.append(net)
-                    continue
-                if state.get(net) == 0:
-                    raise NetlistError(f"combinational loop through {net!r}")
-                state[net] = 0
-                stack.append((net, True))
-                for dep in self.gates[net].inputs:
-                    if dep in gates and state.get(dep) != 1:
-                        stack.append((dep, False))
-        return order
-
-    def program(self, within: Collection[str] | None = None
-                ) -> list[tuple[str, list[str], int]]:
-        """(net, inputs, table bits) per gate of `topo_order(within)`."""
+    def program(self) -> list[tuple[str, list[str], int]]:
+        """(net, inputs, table bits) per gate of `topo_order()`."""
         return [(net, self.gates[net].inputs, self.gates[net].table.bits)
-                for net in self.topo_order(within)]
+                for net in self.topo_order()]
 
     def step(self, pi_values: dict[str, int], state: dict[str, int],
              program: list, ones: int = 1
@@ -117,6 +94,32 @@ class Netlist:
         for net, inputs, bits in program:
             values[net] = _read(bits, [values[x] for x in inputs], ones)
         return values, {q: values[l.d] for q, l in self.latches.items()}
+
+
+def _post_order(nl: Netlist, roots: Iterable[str],
+                stop: Collection[str] = ()) -> list[str]:
+    """The gates reachable backward from roots without entering stop, each
+    after all of its inputs; PIs, latch outputs and stop nets are sources.
+    One explicit stack, so no recursion depends on the depth of logic."""
+    order: list[str] = []
+    done: dict[str, bool] = {}  # False while visiting, True once placed
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            net, expanded = stack.pop()
+            if expanded:
+                done[net] = True
+                order.append(net)
+                continue
+            if net not in nl.gates or net in stop or done.get(net):
+                continue
+            if net in done:
+                raise NetlistError(f"combinational loop through {net!r}")
+            done[net] = False
+            stack.append((net, True))
+            stack.extend((x, False) for x in nl.gates[net].inputs
+                         if not done.get(x))
+    return order
 
 
 def _read(bits: int, words: list[int], ones: int) -> int:
@@ -261,65 +264,34 @@ def write_blif(nl: Netlist, extra_lines: list[str] | None = None) -> str:
 class Cut:
     root: str
     leaves: tuple[str, ...]  # sorted
-    gates: frozenset[str]  # cone gate output nets
 
     @property
     def trivial(self) -> bool:
-        return not self.gates
-
-
-def _cone_gates(nl: Netlist, root: str, leaves: frozenset[str]) -> frozenset[str]:
-    gates = set()
-    stack = [root]
-    while stack:
-        net = stack.pop()
-        if net in leaves or net not in nl.gates:
-            continue
-        if net in gates:
-            continue
-        gates.add(net)
-        stack.extend(nl.gates[net].inputs)
-    return frozenset(gates)
+        return self.leaves == (self.root,)
 
 
 def enumerate_cuts(nl: Netlist, root: str, k: int = 5) -> list[Cut]:
-    """All k-feasible cuts of root via bottom-up enumeration with
-    dominated-cut pruning; includes the trivial cut {root}."""
+    """All k-feasible cuts of root, merged bottom-up over its cone in
+    topological order with dominated-cut pruning; includes the trivial
+    cut {root}."""
     if k > 6:
         raise ValueError("cut width limited to k <= 6")
-    memo: dict[str, list[frozenset[str]]] = {}
-
-    def cuts_of(net: str) -> list[frozenset[str]]:
-        if net in memo:
-            return memo[net]
-        result = [frozenset([net])]
-        if net in nl.gates:
-            fanin_cuts = [cuts_of(x) for x in nl.gates[net].inputs]
-            merged: set[frozenset[str]] = set()
-            stack = [(0, frozenset())]
-            while stack:
-                idx, acc = stack.pop()
-                if len(acc) > k:
-                    continue
-                if idx == len(fanin_cuts):
-                    merged.add(acc)
-                    continue
-                for c in fanin_cuts[idx]:
-                    u = acc | c
-                    if len(u) <= k:
-                        stack.append((idx + 1, u))
-            result.extend(merged)
+    cuts: dict[str, list[frozenset[str]]] = {}
+    for net in _post_order(nl, [root]):
+        merged = {frozenset()}
+        for x in nl.gates[net].inputs:
+            fanin = cuts.get(x, [frozenset([x])])
+            merged = {u for acc in merged for c in fanin
+                      if len(u := acc | c) <= k}
         # prune dominated cuts (a superset of another cut is never better)
-        pruned = []
-        for c in sorted(set(result), key=lambda s: (len(s), sorted(s))):
-            if not any(p < c or p == c for p in pruned):
+        pruned: list[frozenset[str]] = []
+        for c in sorted(merged | {frozenset([net])},
+                        key=lambda s: (len(s), sorted(s))):
+            if not any(p <= c for p in pruned):
                 pruned.append(c)
-        memo[net] = pruned
-        return pruned
-
-    out = []
-    for leaves in cuts_of(root):
-        out.append(Cut(root, tuple(sorted(leaves)), _cone_gates(nl, root, leaves)))
+        cuts[net] = pruned
+    out = [Cut(root, tuple(sorted(leaves)))
+           for leaves in cuts.get(root, [frozenset([root])])]
     out.sort(key=lambda c: (len(c.leaves), c.leaves))
     return out
 
@@ -331,6 +303,7 @@ def cut_function(nl: Netlist, cut: Cut) -> TruthTable:
     if len(leaves) > 6:
         raise ValueError("cone simulation limited to 6 leaves")
     ones, values = all_patterns(leaves)
-    for net, inputs, bits in nl.program(cut.gates):
-        values[net] = _read(bits, [values[x] for x in inputs], ones)
+    for net in _post_order(nl, [cut.root], leaves):
+        g = nl.gates[net]
+        values[net] = _read(g.table.bits, [values[x] for x in g.inputs], ones)
     return TruthTable(len(leaves), values[cut.root])

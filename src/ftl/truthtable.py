@@ -72,8 +72,6 @@ def parse_truth_table(spec: str, n: int) -> TruthTable:
         bits = int(spec, 16)
     except ValueError:
         raise ValueError(f"not a hex string: {spec!r}") from None
-    if n == 1 and bits > 3:
-        raise ValueError(f"table value out of range for n=1: {spec!r}")
     return TruthTable(n, bits)
 
 

@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from ftl.device import VariationSample, evaluate
+from ftl.netlist import Cut
 from ftl.truthtable import Polarity, TruthTable, unateness
 
 
@@ -72,17 +73,61 @@ def scalar_step(nl, pi_values, state, instances=()):
     return values, nxt
 
 
+def cone_walk(nl, root, leaves):
+    """The gates of root's cone over leaves: every gate reachable backward
+    from root without entering a leaf, as a set."""
+    gates = set()
+    stack = [root]
+    while stack:
+        net = stack.pop()
+        if net not in leaves and net in nl.gates and net not in gates:
+            gates.add(net)
+            stack.extend(nl.gates[net].inputs)
+    return gates
+
+
+def reference_cuts(nl, root, k):
+    """Every k-feasible cut of root by recursive enumeration, one call per
+    net with memo and dominated-cut pruning, sorted by (size, leaves)."""
+    memo = {}
+
+    def cuts_of(net):
+        if net in memo:
+            return memo[net]
+        result = [frozenset([net])]
+        if net in nl.gates:
+            fanin_cuts = [cuts_of(x) for x in nl.gates[net].inputs]
+            merged = set()
+            stack = [(0, frozenset())]
+            while stack:
+                idx, acc = stack.pop()
+                if idx == len(fanin_cuts):
+                    merged.add(acc)
+                    continue
+                for c in fanin_cuts[idx]:
+                    u = acc | c
+                    if len(u) <= k:
+                        stack.append((idx + 1, u))
+            result.extend(merged)
+        pruned = []
+        for c in sorted(set(result), key=lambda s: (len(s), sorted(s))):
+            if not any(p <= c for p in pruned):
+                pruned.append(c)
+        memo[net] = pruned
+        return pruned
+
+    return sorted((Cut(root, tuple(sorted(c))) for c in cuts_of(root)),
+                  key=lambda c: (len(c.leaves), c.leaves))
+
+
 def dead_gates_walk(nl, kept, leaves, latch):
     """Gates the design references before latch's cone is replaced by a
-    cell on leaves and no longer after it, with kept, the outputs and the
-    data inputs of the other latches live throughout: two liveness walks
-    over the whole netlist."""
-    roots = set(kept) | set(nl.outputs)
-    roots.update(l.d for q, l in nl.latches.items() if q != latch)
-
-    def live(extra):
+    cell on leaves and no longer after it, with kept, the outputs, the
+    data inputs of the other latches and every gate outside the latch's
+    whole cone live throughout: liveness walks over the whole netlist."""
+    def live(roots):
         seen = set()
-        stack = [r for r in roots | set(extra) if r in nl.gates]
+        stack = [r for r in roots if r in nl.gates]
         while stack:
             net = stack.pop()
             if net not in seen:
@@ -90,7 +135,10 @@ def dead_gates_walk(nl, kept, leaves, latch):
                 stack.extend(x for x in nl.gates[net].inputs if x in nl.gates)
         return seen
 
-    return live([nl.latches[latch].d]) - live(leaves)
+    d = nl.latches[latch].d
+    roots = set(kept) | set(nl.outputs) | (set(nl.gates) - live([d]))
+    roots.update(l.d for q, l in nl.latches.items() if q != latch)
+    return live(roots | {d}) - live(roots | set(leaves))
 
 
 def permute_inputs_loop(tt, perm):

@@ -14,7 +14,7 @@ from ftl.netlist import enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, f115_table
 from ftl.train import train
 from ftl.truthtable import TruthTable
-from helpers import dead_gates_walk, scalar_step
+from helpers import dead_gates_walk, reference_cuts, scalar_step
 
 CORPUS = "src/ftl/corpus"
 
@@ -236,10 +236,36 @@ REENTER = """.model reenter
 """
 
 
-@pytest.mark.parametrize("name", ["fig2_hybrid.blif", "f115_nandinv.blif",
-                                  "xor_ring.blif", "reenter"])
+def reader_of(net):
+    """f115_nandinv plus a dangling gate zz that reads net, which lies
+    inside the latch's cone."""
+    text = open(f"{CORPUS}/f115_nandinv.blif").read()
+    return text.replace(".latch", f".names {net} zz\n1 1\n.latch")
+
+
+DESIGNS = {"reenter": REENTER, "nb_reader": reader_of("nb"),
+           "t1_reader": reader_of("t1")}
+NAMES = ["fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif", *DESIGNS]
+
+
+def design(name):
+    return parse_blif(DESIGNS[name]) if name in DESIGNS else load(name)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cuts_equal_recursive_reference(name):
+    """The one bottom-up pass gives the recursive enumeration's cut list,
+    in the same order, for every latch cone and width."""
+    nl = design(name)
+    for latch in nl.latches.values():
+        for k in range(1, 7):
+            assert enumerate_cuts(nl, latch.d, k) == reference_cuts(
+                nl, latch.d, k), (latch.q, k)
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_per_latch_dead_set_equals_whole_netlist_walk(name):
-    nl = parse_blif(REENTER) if name == "reenter" else load(name)
+    nl = design(name)
     checked = 0
     for q, latch in sorted(nl.latches.items()):
         cuts = enumerate_cuts(nl, latch.d, 5)
@@ -252,6 +278,53 @@ def test_per_latch_dead_set_equals_whole_netlist_walk(name):
     assert checked
     if name == "reenter":  # z dangles already: not part of any cone
         assert mapping._dead_gates(nl, set(), "q")(("a", "b", "l")) == {"d"}
+    if name == "nb_reader":  # zz holds nb live, but not nc, nd or ne
+        dead = mapping._dead_gates(nl, set(), "fq")(("a", "b", "c", "d", "e"))
+        assert dead == {"nc", "nd", "ne", "t1", "t2", "f"}
+
+
+@pytest.mark.parametrize("net, replaced, removed", [("nb", 1, 7),
+                                                    ("t1", 0, 0)])
+def test_gate_read_by_a_dangling_gate_stays(catalog, net, replaced, removed):
+    """A gate outside the latch's cone that reads into it (zz, read by
+    nothing) is kept, so every net it reads stays driven; the rest of the
+    cone still maps when that pays."""
+    nl = parse_blif(reader_of(net))
+    mapped = map_ftl(nl, catalog=catalog)
+    assert len(mapped.instances) == replaced
+    assert mapped.cost.cells_removed == removed
+    res = mapped.netlist
+    driven = set(res.inputs) | set(res.gates) | set(res.latches)
+    driven.update(inst.q for inst in mapped.instances)
+    read = set(res.outputs) | {l.d for l in res.latches.values()}
+    read.update(x for g in res.gates.values() for x in g.inputs)
+    read.update(x for inst in mapped.instances for x in inst.leaves)
+    assert read <= driven
+    assert {"zz", net} <= set(res.gates)
+    assert verify_equivalence(nl, mapped).equivalent
+
+
+def test_deep_chain_maps_without_recursion(catalog):
+    """A 2,000-gate AND chain n_i = n_{i-1} & x_i into one latch: cut
+    enumeration, cone simulation and the dead-gate walks are iterative,
+    so depth is no limit; the last five inputs become one ftl5 cell."""
+    depth = 2000
+    lines = [".model chain",
+             ".inputs " + " ".join(f"x{i}" for i in range(depth + 1)),
+             ".outputs q"]
+    prev = "x0"
+    for i in range(1, depth + 1):
+        lines += [f".names {prev} x{i} n{i}", "11 1"]
+        prev = f"n{i}"
+    lines += [f".latch {prev} q re clk 0", ".end"]
+    nl = parse_blif("\n".join(lines) + "\n")
+    mapped = map_ftl(nl, catalog=catalog)
+    [inst] = mapped.instances
+    assert inst.leaves == tuple(sorted(
+        [f"n{depth - 4}", *(f"x{i}" for i in range(depth - 3, depth + 1))]))
+    assert inst.function == TruthTable(5, 1 << 31)  # AND of the five
+    assert mapped.cost.cells_removed == 5  # n_{depth-3..depth} and the latch
+    assert verify_equivalence(nl, mapped).equivalent
 
 
 def test_dangling_gate_kept_and_not_counted(catalog):

@@ -7,7 +7,7 @@ from ftl.netlist import (NetlistError, all_patterns, cut_function,
                          enumerate_cuts, parse_blif, write_blif)
 from ftl.threshold import f115_table
 from ftl.truthtable import parse_truth_table
-from helpers import gate_eval, scalar_step
+from helpers import cone_walk, gate_eval, scalar_step
 
 CORPUS = ("fig2_hybrid", "f115_nandinv", "xor_ring")
 
@@ -205,9 +205,10 @@ def test_cut_feasibility_and_completeness():
         assert len(cut.leaves) <= 3
         # every leaf is outside the cone's gate set; every cone gate input
         # is either a leaf or driven inside the cone
-        for g in cut.gates:
+        cone = cone_walk(nl, cut.root, cut.leaves)
+        for g in cone:
             for src in nl.gates[g].inputs:
-                assert src in cut.leaves or src in cut.gates
+                assert src in cut.leaves or src in cone
 
 
 def test_cut_function_and2():
@@ -245,12 +246,13 @@ def test_cone_order_gives_whole_netlist_order_table():
             for cut in enumerate_cuts(nl, latch.d, k=6):
                 if cut.trivial:
                     continue
+                cone = cone_walk(nl, cut.root, cut.leaves)
                 bits = 0
                 for m in range(1 << len(cut.leaves)):
                     values = {leaf: (m >> i) & 1
                               for i, leaf in enumerate(cut.leaves)}
                     for net in whole:
-                        if net in cut.gates:
+                        if net in cone:
                             values[net] = gate_eval(nl.gates[net], values)
                     bits |= values[cut.root] << m
                 assert cut_function(nl, cut).bits == bits, (name, cut.leaves)

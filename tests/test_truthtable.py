@@ -34,6 +34,8 @@ def test_parse_rejects_bad_input():
         parse_truth_table("100", 2)  # too many bits
     with pytest.raises(ValueError):
         parse_truth_table("g", 2)
+    with pytest.raises(ValueError):
+        parse_truth_table("4", 1)  # one digit, but n = 1 has 2 bits
 
 
 def test_hex_round_trip():
