@@ -8,11 +8,14 @@ complemented inputs.  Gates still fanning out elsewhere are kept.
 
 Equivalence is random multi-cycle co-simulation, then a word-parallel
 exhaustive single-cycle sweep: one step per side over every PI pattern.
+The random phase steps only the mapped design, recording each register's
+trajectory, then replays both designs in one word step, bit c = cycle c.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -214,57 +217,86 @@ class EquivalenceReport:
     first_divergence: tuple[int, str] | None = None  # (cycle, signal)
 
 
+def _words(bits) -> list[int]:
+    """Column i of a [cycles, n] 0/1 matrix as one word, bit c = row c."""
+    return [int.from_bytes(col.tobytes(), "little") for col in np.packbits(
+        np.asarray(bits, np.uint8), axis=0, bitorder="little").T]
+
+
 def verify_equivalence(
     original: Netlist,
     mapped: MappedDesign,
     cycles: int = 64,
     stimuli_seed: int = 0,
 ) -> EquivalenceReport:
-    """Cycle-by-cycle co-simulation on random multi-cycle stimuli, then
-    every single-cycle input pattern from reset in one word-parallel step
-    when the input count allows it.  Latches are compared after the step;
-    FTL instances reset to 0.  A divergence names the first cycle, or the
-    lowest sweep pattern, and within it the first signal in sorted order."""
+    """Co-simulation from reset on random multi-cycle stimuli, then every
+    single-cycle input pattern from reset in one word-parallel step when
+    the input count allows it.  Latches are compared after each step; FTL
+    instances reset to 0.  A divergence names the first cycle, or the
+    lowest sweep pattern, and within it the first signal in sorted order.
+
+    The random phase steps only the mapped design, one cycle at a time,
+    then replays both designs in one word step whose bit c is cycle c: PI
+    words from the stimuli, state words from the mapped trajectory but for
+    bit 0, each side's own reset.  The mapped registers must be the
+    original's latches, all of them watched, so by induction both designs
+    enter cycle c in the replayed state if none diverges before it: bits
+    below the first divergence are 0, and the bit at it is exact."""
     pis = original.inputs
+    registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
+    for theirs, ours in ((registers, [*original.latches]),
+                         (mapped.netlist.inputs, pis)):
+        odd = Counter(theirs) - Counter(ours) | Counter(ours) - Counter(theirs)
+        if odd:
+            raise ValueError(f"mapped registers or PIs differ from the "
+                             f"original's at net {min(odd)!r}")
     watch = sorted(set(original.latches) | set(original.outputs))
     program_o = original.program()
     program_m = mapped.netlist.program()
     instances = [(inst.q, inst.leaves, _instance_table(inst))
                  for inst in mapped.instances]
 
-    def diffs(pi_values, state_o, state_m, ones):
-        """Step both designs: next states, per-watch difference words."""
-        vals_o, next_o = original.step(pi_values, state_o, program_o, ones)
-        sources = dict(pi_values)
-        for q, _, _ in instances:
-            sources[q] = state_m.get(q, 0)
-        vals_m, next_m = mapped.netlist.step(sources, state_m, program_m, ones)
+    def step_mapped(pi_values, state_m, ones):
+        vals, nxt = mapped.netlist.step(
+            pi_values | {q: state_m.get(q, 0) for q, _, _ in instances},
+            state_m, program_m, ones)
         for q, leaves, bits in instances:
-            next_m[q] = _read(bits, [vals_m[x] for x in leaves], ones)
+            nxt[q] = _read(bits, leaves, vals, ones)
+        return vals, nxt
+
+    def verdict(pi_values, state_o, state_m, ones, start, checked):
+        """Step both designs; a divergence at pattern m is cycle start + m."""
+        vals_o, next_o = original.step(pi_values, state_o, program_o, ones)
+        vals_m, next_m = step_mapped(pi_values, state_m, ones)
         vals_o.update(next_o)
         vals_m.update(next_m)
-        return next_o, next_m, [vals_o[s] ^ vals_m[s] for s in watch]
+        hit = min((((w & -w).bit_length() - 1, i) for i, s in enumerate(watch)
+                   if (w := vals_o[s] ^ vals_m[s])), default=None)
+        if hit is None:
+            return EquivalenceReport(True, checked)
+        c = start + hit[0]
+        return EquivalenceReport(False, c + 1, (c, watch[hit[1]]))
 
     stimuli = np.random.default_rng(stimuli_seed).integers(
-        0, 2, size=(cycles, len(pis))).tolist()
-    state_o: dict[str, int] = {}
-    state_m: dict[str, int] = {}
-    for cycle, row in enumerate(stimuli):
-        state_o, state_m, d = diffs(dict(zip(pis, row)), state_o, state_m, 1)
-        for sig, differs in zip(watch, d):
-            if differs:
-                return EquivalenceReport(False, cycle + 1, (cycle, sig))
-
+        0, 2, size=(cycles, len(pis)))
+    if cycles:
+        trajectory = [{q: l.init for q, l in mapped.netlist.latches.items()}
+                      | {q: 0 for q, _, _ in instances}]
+        for row in stimuli[:-1].tolist():  # cycle c's state from cycle c - 1
+            trajectory.append(
+                step_mapped(dict(zip(pis, row)), trajectory[-1], 1)[1])
+        state_m = dict(zip(registers, _words(
+            [[s[q] for q in registers] for s in trajectory])))
+        state_o = {q: w & ~1 | original.latches[q].init
+                   for q, w in state_m.items()}
+        report = verdict(dict(zip(pis, _words(stimuli))), state_o, state_m,
+                         (1 << cycles) - 1, 0, cycles)
+        if not report.equivalent:
+            return report
     if len(pis) > 10:
         return EquivalenceReport(True, cycles)
     ones, words = all_patterns(pis)
-    _, _, d = diffs(words, {}, {}, ones)
-    first = min((((w & -w).bit_length() - 1, i) for i, w in enumerate(d)
-                 if w), default=None)
-    if first is None:
-        return EquivalenceReport(True, cycles + (1 << len(pis)))
-    m, i = first
-    return EquivalenceReport(False, cycles + m + 1, (cycles + m, watch[i]))
+    return verdict(words, {}, {}, ones, cycles, cycles + (1 << len(pis)))
 
 
 def export_mapped_blif(design: MappedDesign) -> str:

@@ -5,10 +5,12 @@ Every walk over the gates is `_post_order`: the gates behind some roots,
 each after all of its inputs, stopping at given nets.  Simulation runs
 `Netlist.program()`, that walk over all gates as (net, inputs, table bits),
 in `step`.  Each net value is a word with one pattern per bit of a mask
-`ones`, so one pass evaluates one pattern or all 2^n assignments of n
-sources.  `enumerate_cuts` merges fan-in cuts along the walk of a root's
-cone, and `cut_function` runs the walk from a cut's root, stopped at its
-leaves, over every leaf pattern at once.
+`ones`, so one pass evaluates one pattern, all 2^n assignments of n
+sources, or a recorded run of cycles with one cycle per bit.  `_read`
+reads each gate's inputs from the net values, for one pattern or a word.
+`enumerate_cuts` merges fan-in cuts along the walk of a root's cone, and
+`cut_function` runs the walk from a cut's root, stopped at its leaves,
+over every leaf pattern at once.
 
 Supported BLIF directives: .model, .inputs, .outputs, .names (single
 output cover), .latch (D flip-flop), .end.
@@ -87,12 +89,13 @@ class Netlist:
              ) -> tuple[dict[str, int], dict[str, int]]:
         """One clock cycle of this netlist's `program()`: returns (net
         values, next latch state).  Each value is a word with one pattern
-        per bit of `ones`; a latch absent from state reads init in each."""
+        per bit of `ones`, such as one cycle per bit when the latch states
+        are a recorded trajectory; a latch absent from state reads init."""
         values = dict(pi_values)
         for q, l in self.latches.items():
             values[q] = state.get(q, l.init * ones)
         for net, inputs, bits in program:
-            values[net] = _read(bits, [values[x] for x in inputs], ones)
+            values[net] = _read(bits, inputs, values, ones)
         return values, {q: values[l.d] for q, l in self.latches.items()}
 
 
@@ -122,16 +125,19 @@ def _post_order(nl: Netlist, roots: Iterable[str],
     return order
 
 
-def _read(bits: int, words: list[int], ones: int) -> int:
-    """The table `bits` (x_1 = words[0]) read at every pattern of `ones`:
-    a lookup for one pattern, else a mux tree with x_1 innermost."""
+def _read(bits: int, inputs: Sequence[str], values: dict[str, int],
+          ones: int) -> int:
+    """The table `bits` (x_1 = inputs[0]) read at every pattern of `ones`,
+    with each input's word taken from values: one path for scalar and word
+    patterns, a lookup for one pattern, else a mux tree, x_1 innermost."""
     if ones == 1:
         m = 0
-        for i, w in enumerate(words):
-            m |= w << i
+        for i, x in enumerate(inputs):
+            m |= values[x] << i
         return (bits >> m) & 1
-    level = [ones if (bits >> m) & 1 else 0 for m in range(1 << len(words))]
-    for w in words:
+    level = [ones if (bits >> m) & 1 else 0 for m in range(1 << len(inputs))]
+    for x in inputs:
+        w = values[x]
         level = [lo ^ (lo ^ hi) & w for lo, hi in zip(level[::2], level[1::2])]
     return level[0]
 
@@ -305,5 +311,5 @@ def cut_function(nl: Netlist, cut: Cut) -> TruthTable:
     ones, values = all_patterns(leaves)
     for net in _post_order(nl, [cut.root], leaves):
         g = nl.gates[net]
-        values[net] = _read(g.table.bits, [values[x] for x in g.inputs], ones)
+        values[net] = _read(g.table.bits, g.inputs, values, ones)
     return TruthTable(len(leaves), values[cut.root])

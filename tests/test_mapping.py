@@ -10,7 +10,7 @@ import pytest
 from ftl import mapping
 from ftl.mapping import (COST, export_mapped_blif, map_ftl,
                          verify_equivalence, write_cost_csv)
-from ftl.netlist import enumerate_cuts, parse_blif
+from ftl.netlist import Latch, enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, f115_table
 from ftl.train import train
 from ftl.truthtable import TruthTable
@@ -147,6 +147,32 @@ def flip_minterms(design, flips):
     return replace(design, instances=instances)
 
 
+def feedback_design(seed, n_pis):
+    """Four latches over n_pis PIs, each cone reading latches back: q0 and
+    q1 behind a seeded chain of four AND/OR gates (threshold, so each maps
+    to a cell), r0 and r1 behind one XOR (never mapped); a seeded two of
+    the four reset to 1."""
+    rng = np.random.default_rng(seed)
+    pis = [f"p{i}" for i in range(n_pis)]
+    regs = ["q0", "q1", "r0", "r1"]
+    init1 = rng.choice(4, 2, replace=False)
+    lines = [f".model fb{seed}", ".inputs " + " ".join(pis), ".outputs y"]
+    for j, q in enumerate(regs):
+        if q.startswith("q"):
+            prev, *rest = rng.choice(pis + regs, 5, replace=False)
+            for k, x in enumerate(rest):
+                lines += [f".names {prev} {x} {q}g{k}",
+                          ("11 1", "1- 1\n-1 1")[rng.integers(2)]]
+                prev = f"{q}g{k}"
+        else:
+            a, b = rng.choice(pis + regs, 2, replace=False)
+            prev = f"{q}x"
+            lines += [f".names {a} {b} {prev}", "10 1", "01 1"]
+        lines.append(f".latch {prev} {q} re clk {int(j in init1)}")
+    lines += [".names q0 r0 p0 y", "100 1", "010 1", "001 1", "111 1", ".end"]
+    return parse_blif("\n".join(lines) + "\n")
+
+
 def test_verdicts_match_per_call_step(catalog):
     cases = []
     for name in ("fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif"):
@@ -184,18 +210,45 @@ def test_verdicts_match_per_call_step(catalog):
     cases.append((nl, flip_minterms(design, [7, 3])))
     # fq wrong at c1 c2 p5 = 011, also pattern 28: the tie goes to fq.
     cases.append((nl, flip_minterms(design, [6, 3])))
+    # Latch feedback, two reset-to-1 latches and a cell flipped at a seeded
+    # minterm; 10 and 11 PIs lie on either side of the sweep's limit.
+    for seed, n_pis in enumerate((3, 5, 10, 11)):
+        nl = feedback_design(seed, n_pis)
+        design = map_ftl(nl, catalog=catalog)
+        assert [inst.q for inst in design.instances] == ["q0", "q1"]
+        m = int(np.random.default_rng(seed).integers(32))
+        cases += [(nl, design), (nl, flip_minterms(design, [m, None]))]
     # With cycles=0 every divergence is found by the sweep.
     for nl, design in cases:
-        for cycles in (0, 64):
+        for cycles in (0, 1, 5, 64, 65):
             for seed in (0, 5):
                 report = verify_equivalence(nl, design, cycles, seed)
                 assert (report.equivalent, report.cycles_checked,
                         report.first_divergence) == \
                     reference_report(nl, design, cycles, seed), nl.model
     assert [reference_report(*case)[0] for case in cases] == \
-        [True, True, True, False, False, True, False, False]
+        [True, True, True, False, False, True, False, False] + \
+        [True, False, True, False, True, False, False, False]
     assert [verify_equivalence(nl, design, 0).first_divergence
-            for nl, design in cases[-2:]] == [(28, "gq"), (28, "fq")]
+            for nl, design in cases[6:8]] == [(28, "gq"), (28, "fq")]
+
+
+def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
+    """The random phase replays both designs on the mapped design's
+    register trajectory, so its registers and PIs must be the original's:
+    an extra latch, a foreign design and a renamed PI each raise, naming
+    the net."""
+    nl = load("f115_nandinv.blif")
+    design = map_ftl(nl, catalog=catalog)
+    extra = copy.deepcopy(design)
+    extra.netlist.latches["zq"] = Latch("a", "zq", "clk", 1)
+    foreign = map_ftl(load("fig2_hybrid.blif"), catalog=catalog)
+    renamed = replace(design, netlist=replace(
+        design.netlist, inputs=["zz", *design.netlist.inputs[1:]]))
+    for bad, net in ((extra, "zq"), (foreign, "gq"), (renamed, "a")):
+        with pytest.raises(ValueError, match=f"'{net}'"):
+            verify_equivalence(nl, bad)
+    assert verify_equivalence(nl, design).equivalent
 
 
 @pytest.mark.parametrize("seed", range(5))
