@@ -6,10 +6,10 @@ gates that become unreferenced, plus the flip-flop, minus one FTL cell)
 replaces the cone.  Negative-unate leaves are absorbed into the cell as
 complemented inputs.  Gates still fanning out elsewhere are kept.
 
-Equivalence is random multi-cycle co-simulation, then a word-parallel
-exhaustive single-cycle sweep: one step per side over every PI pattern.
-The random phase steps only the mapped design, recording each register's
-trajectory, then replays both designs in one word step, bit c = cycle c.
+Equivalence checking treats an FTL cell as the paper does, an edge-
+triggered register loading a threshold function, so the mapped design is a
+plain netlist over the original's registers.  Random multi-cycle
+co-simulation and the exhaustive single-cycle sweep share one word step.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import FtlCell, evaluate
-from .netlist import (Netlist, _post_order, _read, all_patterns,
+from .netlist import (Gate, Latch, Netlist, _post_order, all_patterns,
                       cut_function, enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
 from .truthtable import TruthTable, to_positive_form
@@ -57,7 +56,6 @@ class FtlInstance:
     polarity_mask: int  # leaves fed complemented
     weights: ThresholdFunction  # minimal realization of the positive form
     catalog_index: int | None = None
-    cell: FtlCell | None = None  # trained cell for the positive form, if any
 
 
 @dataclass
@@ -131,7 +129,6 @@ def _total_area(nl: Netlist, n_ftl: int) -> float:
 
 def map_ftl(
     nl: Netlist,
-    trainer_hook=None,  # callable(positive TruthTable) -> FtlCell | None
     k: int = 5,
     catalog=None,  # list of CatalogEntry for index annotation
 ) -> MappedDesign:
@@ -176,14 +173,13 @@ def map_ftl(
         if best is None:
             continue
         _, cut, tt, tf, removable = best
-        positive, mask = to_positive_form(tt)
+        mask = to_positive_form(tt)[1]
         cat_idx = None
         if catalog_by_table and not tt.is_constant():  # constants: no class
             cat_idx = catalog_by_table.get(canonicalize_np(tt))
-        cell = trainer_hook(positive) if trainer_hook else None
         instances.append(FtlInstance(
             q=q, leaves=cut.leaves, function=tt, polarity_mask=mask, weights=tf,
-            catalog_index=cat_idx, cell=cell,
+            catalog_index=cat_idx,
         ))
         del work.latches[q]
         for g in removable:
@@ -200,14 +196,6 @@ def map_ftl(
         worst_path_after=_worst_path(work, instances),
     )
     return MappedDesign(work, instances, summary)
-
-
-def _instance_table(inst: FtlInstance) -> int:
-    """Table bits of the instance over its leaves, as the cell computes."""
-    if inst.cell is None:
-        return inst.function.bits
-    return sum(evaluate(inst.cell, m ^ inst.polarity_mask).y << m
-               for m in range(1 << len(inst.leaves)))
 
 
 @dataclass
@@ -229,74 +217,64 @@ def verify_equivalence(
     cycles: int = 64,
     stimuli_seed: int = 0,
 ) -> EquivalenceReport:
-    """Co-simulation from reset on random multi-cycle stimuli, then every
-    single-cycle input pattern from reset in one word-parallel step when
-    the input count allows it.  Latches are compared after each step; FTL
-    instances reset to 0.  A divergence names the first cycle, or the
-    lowest sweep pattern, and within it the first signal in sorted order.
+    """Co-simulation from reset: random multi-cycle stimuli, then every
+    single-cycle PI pattern when there are at most 10 PIs, in one word step
+    per design.  Latches are compared after each step.  A divergence names
+    the first cycle, sweep pattern m counting as cycle cycles + m, and
+    within it the first signal in sorted order.
 
-    The random phase steps only the mapped design, one cycle at a time,
-    then replays both designs in one word step whose bit c is cycle c: PI
-    words from the stimuli, state words from the mapped trajectory but for
-    bit 0, each side's own reset.  The mapped registers must be the
-    original's latches, all of them watched, so by induction both designs
-    enter cycle c in the replayed state if none diverges before it: bits
-    below the first divergence are 0, and the bit at it is exact."""
+    Each FTL instance is a register, reset 0, loading its threshold gate,
+    so both designs are netlists over the same registers.  The mapped one
+    is stepped alone for its register trajectory; then bit c < cycles
+    replays cycle c: PI words from the stimuli, state words from the
+    trajectory but for bit 0, each side's own reset.  All registers are
+    watched, so by induction both designs enter cycle c in the replayed
+    state if none diverges before it: bits below the first divergence are
+    0, and the bit at it is exact.  Bit cycles + m is sweep pattern m from
+    reset, exact on its own, so the lowest differing bit is the report."""
     pis = original.inputs
     registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
     for theirs, ours in ((registers, [*original.latches]),
-                         (mapped.netlist.inputs, pis)):
+                         (mapped.netlist.inputs, pis),
+                         (mapped.netlist.outputs, original.outputs)):
         odd = Counter(theirs) - Counter(ours) | Counter(ours) - Counter(theirs)
         if odd:
-            raise ValueError(f"mapped registers or PIs differ from the "
-                             f"original's at net {min(odd)!r}")
-    watch = sorted(set(original.latches) | set(original.outputs))
-    program_o = original.program()
-    program_m = mapped.netlist.program()
-    instances = [(inst.q, inst.leaves, _instance_table(inst))
-                 for inst in mapped.instances]
-
-    def step_mapped(pi_values, state_m, ones):
-        vals, nxt = mapped.netlist.step(
-            pi_values | {q: state_m.get(q, 0) for q, _, _ in instances},
-            state_m, program_m, ones)
-        for q, leaves, bits in instances:
-            nxt[q] = _read(bits, leaves, vals, ones)
-        return vals, nxt
-
-    def verdict(pi_values, state_o, state_m, ones, start, checked):
-        """Step both designs; a divergence at pattern m is cycle start + m."""
-        vals_o, next_o = original.step(pi_values, state_o, program_o, ones)
-        vals_m, next_m = step_mapped(pi_values, state_m, ones)
-        vals_o.update(next_o)
-        vals_m.update(next_m)
-        hit = min((((w & -w).bit_length() - 1, i) for i, s in enumerate(watch)
-                   if (w := vals_o[s] ^ vals_m[s])), default=None)
-        if hit is None:
-            return EquivalenceReport(True, checked)
-        c = start + hit[0]
-        return EquivalenceReport(False, c + 1, (c, watch[hit[1]]))
-
+            raise ValueError(f"mapped registers, PIs or outputs differ from "
+                             f"the original's at net {min(odd)!r}")
+    # parse_blif splits on whitespace, so no parsed net is "<q> ftl"; q is
+    # the register, which another instance may read as a leaf.
+    flat = replace(mapped.netlist, gates=mapped.netlist.gates | {
+        f"{i.q} ftl": Gate(f"{i.q} ftl", [*i.leaves], i.function)
+        for i in mapped.instances}, latches=mapped.netlist.latches | {
+        i.q: Latch(f"{i.q} ftl", i.q) for i in mapped.instances})
+    program_m = flat.program()
     stimuli = np.random.default_rng(stimuli_seed).integers(
         0, 2, size=(cycles, len(pis)))
-    if cycles:
-        trajectory = [{q: l.init for q, l in mapped.netlist.latches.items()}
-                      | {q: 0 for q, _, _ in instances}]
-        for row in stimuli[:-1].tolist():  # cycle c's state from cycle c - 1
-            trajectory.append(
-                step_mapped(dict(zip(pis, row)), trajectory[-1], 1)[1])
-        state_m = dict(zip(registers, _words(
-            [[s[q] for q in registers] for s in trajectory])))
-        state_o = {q: w & ~1 | original.latches[q].init
-                   for q, w in state_m.items()}
-        report = verdict(dict(zip(pis, _words(stimuli))), state_o, state_m,
-                         (1 << cycles) - 1, 0, cycles)
-        if not report.equivalent:
-            return report
-    if len(pis) > 10:
-        return EquivalenceReport(True, cycles)
-    ones, words = all_patterns(pis)
-    return verdict(words, {}, {}, ones, cycles, cycles + (1 << len(pis)))
+    trajectory = [{q: l.init for q, l in flat.latches.items()}]
+    for row in stimuli[:-1].tolist():  # cycle c's state from cycle c - 1
+        trajectory.append(flat.step(dict(zip(pis, row)), trajectory[-1],
+                                    program_m)[1])
+    replayed = dict(zip(flat.latches, _words(
+        [[s[q] for q in flat.latches] for s in trajectory])))
+    sweep_ones, sweep = (all_patterns(pis) if len(pis) <= 10
+                         else (0, dict.fromkeys(pis, 0)))
+    replay = (1 << cycles) - 1 & ~1  # bits whose state is replayed
+    ones = (1 << cycles) - 1 | sweep_ones << cycles
+    reset = ones ^ replay
+    pi_values = {x: w | sweep[x] << cycles
+                 for x, w in zip(pis, _words(stimuli))}
+    vals = []
+    for nl, program in ((original, original.program()), (flat, program_m)):
+        state = {q: replayed[q] & replay | reset * l.init
+                 for q, l in nl.latches.items()}
+        values, nxt = nl.step(pi_values, state, program, ones)
+        vals.append(values | nxt)
+    watch = sorted(set(original.latches) | set(original.outputs))
+    hit = min((((w & -w).bit_length() - 1, s) for s in watch
+               if (w := vals[0][s] ^ vals[1][s])), default=None)
+    if hit is None:
+        return EquivalenceReport(True, ones.bit_length())
+    return EquivalenceReport(False, hit[0] + 1, hit)
 
 
 def export_mapped_blif(design: MappedDesign) -> str:

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ftl.device import VariationSample, evaluate
+from ftl.device import VariationSample
 from ftl.netlist import Cut
 from ftl.truthtable import Polarity, TruthTable, unateness
 
@@ -46,26 +46,23 @@ def gate_eval(gate, values) -> int:
 
 
 def instance_output(inst, leaf_values) -> int:
-    """One FTL instance at one pattern: the trained cell when there is
-    one, fed the complemented leaves, else the cone function."""
+    """One FTL instance at one pattern: its cone function of the leaves."""
     m = 0
     for i, leaf in enumerate(inst.leaves):
         m |= leaf_values[leaf] << i
-    if inst.cell is None:
-        return inst.function.value(m)
-    return evaluate(inst.cell, m ^ inst.polarity_mask).y
+    return inst.function.value(m)
 
 
-def scalar_step(nl, pi_values, state, instances=()):
-    """One cycle of one pattern, gate by gate in whole-netlist order, with
-    the FTL instances as extra registers that reset to 0: (net values,
-    next state)."""
+def scalar_step(nl, order, pi_values, state, instances=()):
+    """One cycle of one pattern, gate by gate in order (nl.topo_order(),
+    which callers compute once per netlist), with the FTL instances as
+    extra registers that reset to 0: (net values, next state)."""
     values = dict(pi_values)
     for q, l in nl.latches.items():
         values[q] = state.get(q, l.init)
     for inst in instances:
         values[inst.q] = state.get(inst.q, 0)
-    for net in nl.topo_order():
+    for net in order:
         values[net] = gate_eval(nl.gates[net], values)
     nxt = {q: values[l.d] for q, l in nl.latches.items()}
     for inst in instances:

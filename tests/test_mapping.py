@@ -12,7 +12,6 @@ from ftl.mapping import (COST, export_mapped_blif, map_ftl,
                          verify_equivalence, write_cost_csv)
 from ftl.netlist import Latch, enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, f115_table
-from ftl.train import train
 from ftl.truthtable import TruthTable
 from helpers import dead_gates_walk, reference_cuts, scalar_step
 
@@ -81,30 +80,14 @@ def test_xor_ring_untouched(catalog):
     assert verify_equivalence(nl, design).equivalent
 
 
-def trainer_hook(positive):
-    result = train(positive)
-    return result.cell if result.converged else None
-
-
-def test_instances_use_trained_cells(catalog):
-    design = map_ftl(load("f115_nandinv.blif"), trainer_hook=trainer_hook,
-                     catalog=catalog)
-    inst = design.instances[0]
-    assert inst.cell is not None
-    assert len(inst.leaves) == inst.cell.n
-    assert verify_equivalence(load("f115_nandinv.blif"), design).equivalent
-
-
 def test_corrupted_weight_diverges(catalog):
+    """A cell wrong at one minterm (a b c d e = 11000, where F115 is 1)
+    diverges, and the report names its register."""
     nl = load("f115_nandinv.blif")
-    design = map_ftl(nl, trainer_hook=trainer_hook, catalog=catalog)
-    inst = design.instances[0]
-    # park every input device: the cell can no longer compute its function
-    broken = replace(inst.cell, vt=(0.88,) * inst.cell.n)
-    design.instances[0] = replace(inst, cell=broken)
+    design = flip_minterms(map_ftl(nl, catalog=catalog), [3])
     report = verify_equivalence(nl, design)
     assert not report.equivalent
-    assert report.first_divergence is not None
+    assert report.first_divergence[1] == "fq"
 
 
 def reference_report(original, design, cycles=64, seed=0):
@@ -116,9 +99,12 @@ def reference_report(original, design, cycles=64, seed=0):
         return next(((cycle, s) for s in watch
                      if sa.get(s, va.get(s)) != sb.get(s, vb.get(s))), None)
 
+    order_o, order_m = original.topo_order(), design.netlist.topo_order()
+
     def both(pi_values, so, sm):
-        return (*scalar_step(original, pi_values, so),
-                *scalar_step(design.netlist, pi_values, sm, design.instances))
+        return (*scalar_step(original, order_o, pi_values, so),
+                *scalar_step(design.netlist, order_m, pi_values, sm,
+                             design.instances))
 
     pis = original.inputs
     rng = np.random.default_rng(seed)
@@ -179,11 +165,7 @@ def test_verdicts_match_per_call_step(catalog):
         nl = load(name)
         cases.append((nl, map_ftl(nl, catalog=catalog)))
     nl = load("f115_nandinv.blif")
-    design = map_ftl(nl, trainer_hook=trainer_hook, catalog=catalog)
-    inst = design.instances[0]
-    broken = replace(inst.cell, vt=(0.88,) * inst.cell.n)
-    design.instances[0] = replace(inst, cell=broken)
-    cases.append((nl, design))
+    cases.append((nl, flip_minterms(map_ftl(nl, catalog=catalog), [3])))
     # A reset-to-1 register read by an output: the mapped cell resets to 0,
     # so the designs diverge at the first cycle with a = 1.
     text = open(f"{CORPUS}/f115_nandinv.blif").read()
@@ -192,14 +174,12 @@ def test_verdicts_match_per_call_step(catalog):
     nl = parse_blif(text)
     cases.append((nl, map_ftl(nl, catalog=catalog)))
     assert len(cases[-1][1].instances) == 1
-    # A PI read through an inverter: the trained cell takes that leaf
-    # complemented.
+    # A PI read through an inverter: the cell takes that leaf complemented.
     text = open(f"{CORPUS}/f115_nandinv.blif").read().replace(
         ".inputs a ", ".inputs an ").replace(".end", ".names an a\n0 1\n.end")
     nl = parse_blif(text)
-    design = map_ftl(nl, trainer_hook=trainer_hook, catalog=catalog)
+    design = map_ftl(nl, catalog=catalog)
     assert design.instances[0].polarity_mask == 1
-    assert design.instances[0].cell is not None
     cases.append((nl, design))
     # fig2_hybrid's cells: fq = MAJ(c1, c2, p5), gq = MAJ(c2, p5, p6), with
     # c1 = p1 + p2 and c2 = p3 p4; sweep pattern m sets p_i to bit i-1.
@@ -235,20 +215,26 @@ def test_verdicts_match_per_call_step(catalog):
 
 def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
     """The random phase replays both designs on the mapped design's
-    register trajectory, so its registers and PIs must be the original's:
-    an extra latch, a foreign design and a renamed PI each raise, naming
-    the net."""
+    register trajectory, so its registers, PIs and outputs must be the
+    original's: an extra latch, a foreign design, a renamed PI and a
+    dropped output each raise, naming the net."""
     nl = load("f115_nandinv.blif")
     design = map_ftl(nl, catalog=catalog)
     extra = copy.deepcopy(design)
     extra.netlist.latches["zq"] = Latch("a", "zq", "clk", 1)
-    foreign = map_ftl(load("fig2_hybrid.blif"), catalog=catalog)
+    hybrid = load("fig2_hybrid.blif")
+    foreign = map_ftl(hybrid, catalog=catalog)
     renamed = replace(design, netlist=replace(
         design.netlist, inputs=["zz", *design.netlist.inputs[1:]]))
-    for bad, net in ((extra, "zq"), (foreign, "gq"), (renamed, "a")):
+    no_co = copy.deepcopy(foreign)
+    del no_co.netlist.gates["co"]
+    no_co.netlist.outputs.remove("co")
+    for original, bad, net in ((nl, extra, "zq"), (nl, foreign, "gq"),
+                               (nl, renamed, "a"), (hybrid, no_co, "co")):
         with pytest.raises(ValueError, match=f"'{net}'"):
-            verify_equivalence(nl, bad)
+            verify_equivalence(original, bad)
     assert verify_equivalence(nl, design).equivalent
+    assert verify_equivalence(hybrid, foreign).equivalent
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -157,13 +157,13 @@ def test_word_step_equals_scalar_steps(name):
     assert ones == (1 << (1 << len(nl.inputs))) - 1
     rng = np.random.default_rng(0)
     drawn = {q: int(rng.integers(0, 2)) for q in sorted(nl.latches)}
-    program = nl.program()
+    program, order = nl.program(), nl.topo_order()
     for state in ({}, drawn):
         values, nxt = nl.step(words, {q: v * ones for q, v in state.items()},
                               program, ones)
         for m in range(1 << len(nl.inputs)):
             pi_values = {x: (m >> i) & 1 for i, x in enumerate(nl.inputs)}
-            want_values, want_next = scalar_step(nl, pi_values, state)
+            want_values, want_next = scalar_step(nl, order, pi_values, state)
             assert {net: (w >> m) & 1 for net, w in values.items()} == \
                 want_values, (name, m)
             assert {q: (w >> m) & 1 for q, w in nxt.items()} == want_next
