@@ -48,6 +48,6 @@ from .program import (
     program_cell,
 )
 from .netlist import Cut, Netlist, NetlistError, cut_function, enumerate_cuts, parse_blif
-from .mapping import CostModel, MappedDesign, map_ftl, verify_equivalence
+from .mapping import MappedDesign, map_ftl, verify_equivalence
 
 __version__ = "0.1.0"

@@ -191,7 +191,7 @@ def cmd_train(spec, robust, margin_step, max_margin, vdd, delta, out,
                f"(margin {achieved:g}) -> {out}/cell.json")
 
 
-def _exp_iterations(params, args, seed):
+def _exp_iterations(params, mc, scenario):
     entries = threshold.build_catalog(5)
     rows = [["index", "n", "canonical_hex", "iterations", "kmax", "converged"]]
     for e in entries:
@@ -207,16 +207,7 @@ def _f115_schedule(params):
     return analysis.margin_schedule(threshold.f115_table(), params)
 
 
-def _mc_config(args, seed):
-    return analysis.McConfig(trials=int(args.get("trials", 10000)),
-                             sigma_local=args["sigma_local"],
-                             sigma_global=args["sigma_global"],
-                             sigma_k=args["sigma_k"],
-                             seed=seed)
-
-
-def _exp_yield_sweep(params, args, seed):
-    mc = _mc_config(args, seed)
+def _exp_yield_sweep(params, mc, scenario):
     tt = threshold.f115_table()
     rows = [["margin", "min_separation", "worst_delay", "yield"]]
     for lv in _f115_schedule(params):
@@ -226,7 +217,7 @@ def _exp_yield_sweep(params, args, seed):
     return {"yield_sweep.csv": _rows_csv(rows)}
 
 
-def _exp_conductivity(params, args, seed):
+def _exp_conductivity(params, mc, scenario):
     tt = threshold.f115_table()
     levels = _f115_schedule(params)
     out = {}
@@ -237,7 +228,7 @@ def _exp_conductivity(params, args, seed):
     return out
 
 
-def _exp_vdd_sweep(params, args, seed):
+def _exp_vdd_sweep(params, mc, scenario):
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
     points = analysis.vdd_sweep(lv.result.cell, tt)
@@ -245,16 +236,15 @@ def _exp_vdd_sweep(params, args, seed):
         lambda fp: analysis.write_sweep_csv(points, fp))}
 
 
-def _exp_delay_hist(params, args, seed):
+def _exp_delay_hist(params, mc, scenario):
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
-    rep = analysis.yield_mc(lv.result.cell, tt, _mc_config(args, seed))
+    rep = analysis.yield_mc(lv.result.cell, tt, mc)
     return {"delay_hist.csv": _capture_csv(
         lambda fp: analysis.write_histogram_csv(rep, fp))}
 
 
-def _exp_timing_fix(params, args, seed):
-    scenario = args.get("scenario", "setup")
+def _exp_timing_fix(params, mc, scenario):
     tt = threshold.f115_table()
     try:
         fix = analysis.run_timing_fix(tt, params, scenario)
@@ -310,13 +300,11 @@ def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
                        EXIT_VALIDATION)
     _ensure_out(out)
     params = _device_params(vdd, delta)
-    kwargs = {"trials": trials, "sigma_local": sigma_local,
-              "sigma_global": sigma_global, "sigma_k": sigma_k}
-    if name == "timing-fix":
-        kwargs["scenario"] = args[0] if args else "setup"
-        if kwargs["scenario"] not in ("setup", "hold"):
-            raise CliError("timing-fix takes 'setup' or 'hold'", EXIT_VALIDATION)
-    tables = EXPERIMENTS[name](params, kwargs, seed)
+    scenario = args[0] if args else "setup"
+    if scenario not in ("setup", "hold"):
+        raise CliError("timing-fix takes 'setup' or 'hold'", EXIT_VALIDATION)
+    mc = analysis.McConfig(trials, sigma_local, sigma_global, sigma_k, seed)
+    tables = EXPERIMENTS[name](params, mc, scenario)
     for fname, text in tables.items():
         _write_text(os.path.join(out, fname), text,
                     not no_header, f"experiments {name}")

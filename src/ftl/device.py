@@ -4,14 +4,15 @@ The cell is reduced to a conductance comparison: for a minterm, the left
 network sums the branch conductances of inputs at 1 plus the left side
 device, the right network sums inputs at 0 plus the right side device.
 The output is 1 when G_L wins; the sense-amp resolution time is modeled
-as tau0 + tau1 / |G_L - G_R|.  `respond` decides one minterm for `evaluate`
+as TAU0 + TAU1 / |G_L - G_R|.  `respond` decides one minterm for `evaluate`
 and for the trainer, which builds conductances once per cell state;
 `conductances` sums all minterms at once in the same order.
 
-Branch conductance uses the alpha-power law g = k * max(0, Vgate - Vt)^alpha
-(alpha = 1.3), a stand-in for the saturation current of the flash device
-in series with a full-rail input switch.  All conductances are in
-normalized siemens (k_cond = 1).
+Branch conductance uses the alpha-power law g = max(0, Vgate - Vt)^ALPHA
+(ALPHA = 1.3; Sakurai and Newton, IEEE JSSC 1990), a stand-in for the
+saturation current of the flash device in series with a full-rail input
+switch.  All conductances are in normalized siemens (k_cond = 1).  The
+model constants are fixed; `DeviceParams` exposes them for cell.json.
 """
 
 from __future__ import annotations
@@ -21,59 +22,53 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 from .truthtable import TruthTable
 
+ALPHA = 1.3  # alpha-power law exponent
+TAU0 = 50e-12  # seconds, sense-amp resolution time at an infinite gap
 # Sense-amp contention coefficient, calibrated once so that the margin-0
 # trained F115 reference cell reports a worst-case delay of ~244 ps.
-TAU1_DEFAULT = 5.145e-12  # siemens * seconds
+TAU1 = 5.145e-12  # siemens * seconds
 
 METASTABLE_EPS = 1e-12  # siemens
 
-
-def _default_kappa(vdd: float, vgate: float, k_cond: float, alpha: float) -> float:
-    # 0.1 fF of handicap capacitance maps to 15% of the mid-range conductance.
-    g_mid = k_cond * max(0.0, vgate - vdd / 2) ** alpha
-    return 0.15 * g_mid / 0.1e-15
+# Power model constants (trend-level only).
+SWITCHING_ACTIVITY = 0.2
+CLOCK_FREQ = 1e9  # hertz
+C_EFF = 1e-15  # farads
+DUTY = 0.5
 
 
 @dataclass(frozen=True)
 class DeviceParams:
+    """Supply, gate drive and Vt step; the model constants are read-only."""
+
     vdd: float = 0.9
     vgate: float | None = None  # defaults to vdd
     delta: float = 0.02
-    k_cond: float = 1.0
-    alpha: float = 1.3
-    tau0: float = 50e-12
-    tau1: float = TAU1_DEFAULT
-    kappa: float | None = None  # siemens per farad, defaults via _default_kappa
-    # power model constants (trend-level only)
-    switching_activity: float = 0.2
-    clock_freq: float = 1e9
-    c_eff: float = 1e-15
-    duty: float = 0.5
+    k_cond: ClassVar[float] = 1.0
+    alpha: ClassVar[float] = ALPHA
+    tau0: ClassVar[float] = TAU0
+    tau1: ClassVar[float] = TAU1
 
     def __post_init__(self):
         if self.vdd <= 0:
             raise ValueError("vdd must be positive")
         if not 0 < self.delta < self.vdd / 2:
             raise ValueError("delta must lie in (0, vdd/2)")
-        if not 1.0 <= self.alpha <= 2.0:
-            raise ValueError("alpha must lie in [1, 2]")
-        if self.tau0 <= 0 or self.tau1 <= 0:
-            raise ValueError("tau0 and tau1 must be positive")
         if self.vgate is None:
             object.__setattr__(self, "vgate", self.vdd)
-        if self.kappa is None:
-            object.__setattr__(
-                self,
-                "kappa",
-                _default_kappa(self.vdd, self.vgate, self.k_cond, self.alpha),
-            )
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if self.vgate <= self.vdd / 2:
+            raise ValueError("vgate must exceed vdd/2")
+
+    @property
+    def kappa(self) -> float:
+        """Siemens per farad: 0.1 fF maps to 15% of mid-range conductance."""
+        return 0.15 * (self.vgate - self.vdd / 2) ** ALPHA / 0.1e-15
 
     @property
     def vt_min(self) -> float:
@@ -89,7 +84,7 @@ def branch_conductance(vt_eff: float, params: DeviceParams) -> float:
     drive = params.vgate - vt_eff
     if drive <= 0.0:
         return 0.0
-    return params.k_cond * drive ** params.alpha
+    return drive ** ALPHA
 
 
 @dataclass(frozen=True)
@@ -256,12 +251,6 @@ class FtlCell:
         }
         return json.dumps(d, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FtlCell":
-        d = json.loads(text)
-        params = DeviceParams(**d["params"])
-        return cls(d["n"], tuple(d["vt"]), d["v_left"], d["v_right"], params)
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -292,11 +281,11 @@ def _devices(cell: FtlCell, sample: VariationSample | None):
     return [branch_conductance(v, p) for v in vts], sample.k_mult
 
 
-def sense_delay(p: DeviceParams, gap: float) -> float:
+def sense_delay(gap: float) -> float:
     """Sense-amp resolution time of a conductance gap (inf if metastable);
     it never grows with |gap|, so the smallest |gap| has the worst delay."""
     mag = abs(gap)
-    return math.inf if mag < METASTABLE_EPS else p.tau0 + p.tau1 / mag
+    return math.inf if mag < METASTABLE_EPS else TAU0 + TAU1 / mag
 
 
 @lru_cache(maxsize=None)
@@ -338,8 +327,7 @@ def evaluate(
     g, kmult = _devices(cell, sample)
     y, metastable, g_left, g_right = respond(g, minterm, margin, kmult)
     gap = g_left - g_right
-    return EvalResult(y, g_left, g_right, gap, sense_delay(cell.params, gap),
-                      metastable)
+    return EvalResult(y, g_left, g_right, gap, sense_delay(gap), metastable)
 
 
 def conductances(cell: FtlCell, sample: VariationSample | None = None):
@@ -370,8 +358,7 @@ def minterm_checks(cell: FtlCell, tt: TruthTable,
     handicap = np.where(want, margin, -margin)
     miss = (gap > handicap) != want
     miss |= np.abs(gap - handicap) < METASTABLE_EPS
-    return miss, [sense_delay(cell.params, float(g))
-                  for g in np.abs(gap).min(axis=1)]
+    return miss, [sense_delay(float(g)) for g in np.abs(gap).min(axis=1)]
 
 
 def verify_cell(cell: FtlCell, tt: TruthTable, margin: float = 0.0) -> bool:
@@ -389,7 +376,7 @@ def worst_case_delay(cell: FtlCell, tt: TruthTable) -> float:
 def model_power(cell: FtlCell, tt: TruthTable) -> float:
     """Trend-level power: dynamic switching term plus the crowbar-style
     static term through the losing network."""
-    p = cell.params
+    vdd = cell.params.vdd
     static_g = np.mean(np.minimum(*conductances(cell))[0, :tt.size])
-    dynamic = p.switching_activity * p.clock_freq * p.c_eff * p.vdd ** 2
-    return dynamic + p.vdd ** 2 * float(static_g) * p.duty
+    dynamic = SWITCHING_ACTIVITY * CLOCK_FREQ * C_EFF * vdd ** 2
+    return dynamic + vdd ** 2 * float(static_g) * DUTY

@@ -20,32 +20,30 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netlist import (Gate, Latch, Netlist, _post_order, all_patterns,
-                      cut_function, enumerate_cuts, write_blif)
+from .netlist import (Gate, Latch, Netlist, NetlistError, _post_order,
+                      all_patterns, cut_function, enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
-from .truthtable import TruthTable, to_positive_form
+from .truthtable import TruthTable
 
 
-@dataclass(frozen=True)
-class CostModel:
-    ftl_area: float = 15.6  # um^2
-    dff_area: float = 5.6
-    area_per_fanin: float = 1.4  # NAND2 = 2.8, INV = 1.4
-    dff_setup: float = 67e-12
-    dff_c2q: float = 168e-12
-    ftl_setup: float = 67e-12
-    ftl_c2q: float = 142e-12
-    gate_delay_base: float = 20e-12
-    gate_delay_per_fanin: float = 10e-12
-
-    def gate_area(self, gate) -> float:
-        return self.area_per_fanin * max(1, gate.fanin)
-
-    def gate_delay(self, gate) -> float:
-        return self.gate_delay_base + self.gate_delay_per_fanin * gate.fanin
+# The cost figures every mapping is scored with.
+FTL_AREA = 15.6  # um^2
+DFF_AREA = 5.6
+AREA_PER_FANIN = 1.4  # NAND2 = 2.8, INV = 1.4
+DFF_SETUP = 67e-12  # seconds
+DFF_C2Q = 168e-12
+FTL_SETUP = 67e-12
+FTL_C2Q = 142e-12
+GATE_DELAY_BASE = 20e-12
+GATE_DELAY_PER_FANIN = 10e-12
 
 
-COST = CostModel()  # the cost figures every mapping is scored with
+def _gate_area(gate) -> float:
+    return AREA_PER_FANIN * max(1, gate.fanin)
+
+
+def _gate_delay(gate) -> float:
+    return GATE_DELAY_BASE + GATE_DELAY_PER_FANIN * gate.fanin
 
 
 @dataclass
@@ -54,7 +52,7 @@ class FtlInstance:
     leaves: tuple[str, ...]  # x_1 = leaves[0]
     function: TruthTable  # over the leaves, original polarity
     polarity_mask: int  # leaves fed complemented
-    weights: ThresholdFunction  # minimal realization of the positive form
+    weights: ThresholdFunction  # minimal; negative on complemented leaves
     catalog_index: int | None = None
 
 
@@ -99,12 +97,12 @@ def _arrival_times(nl: Netlist,
     ftl_qs = {inst.q for inst in instances}
     arrival: dict[str, float] = {net: 0.0 for net in nl.inputs}
     for q in nl.latches:
-        arrival[q] = COST.dff_c2q
+        arrival[q] = DFF_C2Q
     for q in ftl_qs:
-        arrival[q] = COST.ftl_c2q
+        arrival[q] = FTL_C2Q
     for net in nl.topo_order():
         g = nl.gates[net]
-        arrival[net] = max(arrival[x] for x in g.inputs) + COST.gate_delay(g)
+        arrival[net] = max(arrival[x] for x in g.inputs) + _gate_delay(g)
     return arrival
 
 
@@ -112,19 +110,19 @@ def _worst_path(nl: Netlist, instances: list[FtlInstance]) -> float:
     arrival = _arrival_times(nl, instances)
     worst = 0.0
     for l in nl.latches.values():
-        worst = max(worst, arrival[l.d] + COST.dff_setup)
+        worst = max(worst, arrival[l.d] + DFF_SETUP)
     for inst in instances:
         worst = max(worst,
-                    max(arrival[x] for x in inst.leaves) + COST.ftl_setup)
+                    max(arrival[x] for x in inst.leaves) + FTL_SETUP)
     for net in nl.outputs:
         worst = max(worst, arrival.get(net, 0.0))
     return worst
 
 
 def _total_area(nl: Netlist, n_ftl: int) -> float:
-    return (sum(COST.gate_area(g) for g in nl.gates.values())
-            + COST.dff_area * len(nl.latches)
-            + COST.ftl_area * n_ftl)
+    return (sum(_gate_area(g) for g in nl.gates.values())
+            + DFF_AREA * len(nl.latches)
+            + FTL_AREA * n_ftl)
 
 
 def map_ftl(
@@ -165,21 +163,22 @@ def map_ftl(
             if tf is None:
                 continue
             dead = dead_gates(cut.leaves)
-            saving = (sum(COST.gate_area(work.gates[g]) for g in dead)
-                      + COST.dff_area - COST.ftl_area)
+            saving = (sum(_gate_area(work.gates[g]) for g in dead)
+                      + DFF_AREA - FTL_AREA)
             key = (-saving, len(cut.leaves), cut.leaves)
             if saving > 0 and (best is None or key < best[0]):
                 best = (key, cut, tt, tf, dead)
         if best is None:
             continue
         _, cut, tt, tf, removable = best
-        mask = to_positive_form(tt)[1]
         cat_idx = None
         if catalog_by_table and not tt.is_constant():  # constants: no class
             cat_idx = catalog_by_table.get(canonicalize_np(tt))
         instances.append(FtlInstance(
-            q=q, leaves=cut.leaves, function=tt, polarity_mask=mask, weights=tf,
-            catalog_index=cat_idx,
+            q=q, leaves=cut.leaves, function=tt,
+            polarity_mask=sum(1 << i for i, w in enumerate(tf.weights)
+                              if w < 0),
+            weights=tf, catalog_index=cat_idx,
         ))
         del work.latches[q]
         for g in removable:
@@ -231,7 +230,9 @@ def verify_equivalence(
     watched, so by induction both designs enter cycle c in the replayed
     state if none diverges before it: bits below the first divergence are
     0, and the bit at it is exact.  Bit cycles + m is sweep pattern m from
-    reset, exact on its own, so the lowest differing bit is the report."""
+    reset, exact on its own, so the lowest differing bit is the report.
+    Foreign registers, PIs or outputs, or nets not driven once, raise
+    ValueError naming one."""
     pis = original.inputs
     registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
     for theirs, ours in ((registers, [*original.latches]),
@@ -247,6 +248,10 @@ def verify_equivalence(
         f"{i.q} ftl": Gate(f"{i.q} ftl", [*i.leaves], i.function)
         for i in mapped.instances}, latches=mapped.netlist.latches | {
         i.q: Latch(f"{i.q} ftl", i.q) for i in mapped.instances})
+    try:
+        flat.check_drivers()
+    except NetlistError as e:
+        raise ValueError(f"mapped design: {e}") from None
     program_m = flat.program()
     stimuli = np.random.default_rng(stimuli_seed).integers(
         0, 2, size=(cycles, len(pis)))

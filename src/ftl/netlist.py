@@ -56,6 +56,11 @@ class Netlist:
     latches: dict[str, Latch] = field(default_factory=dict)  # keyed by q net
 
     def validate(self) -> None:
+        self.check_drivers()
+        self.topo_order()  # raises on combinational loops
+
+    def check_drivers(self) -> None:
+        """Every net is driven once, and every net read is driven."""
         driven = list(self.inputs) + list(self.gates) + list(self.latches)
         seen = set()
         for net in driven:
@@ -72,7 +77,6 @@ class Netlist:
         for net in self.outputs:
             if net not in seen:
                 raise NetlistError(f"output net {net!r} has no driver")
-        self.topo_order()  # raises on combinational loops
 
     def topo_order(self) -> list[str]:
         """Gate outputs in topological order; latch outputs and PIs are

@@ -15,7 +15,8 @@ from ftl.analysis import (McConfig, conductivity_map, margin_schedule,
                           run_timing_fix, vdd_sweep, write_yield_csv,
                           yield_mc)
 from ftl.device import DeviceParams, verify_cell
-from ftl.mapping import map_ftl, verify_equivalence, write_cost_csv
+from ftl.mapping import (AREA_PER_FANIN, DFF_AREA, FTL_AREA, map_ftl,
+                         verify_equivalence, write_cost_csv)
 from ftl.netlist import parse_blif
 from ftl.program import ProgrammerConfig, program_cell
 from ftl.threshold import (build_catalog, check_threshold,
@@ -191,11 +192,9 @@ def test_criterion_11_mapping_flow():
     cost_ok = True
     for nl, d in designs.values():
         removed = set(nl.gates) - set(d.netlist.gates)
-        from ftl.mapping import CostModel
-        cm = CostModel()
-        delta = (sum(cm.gate_area(nl.gates[g]) for g in removed)
-                 + cm.dff_area * len(d.instances)
-                 - cm.ftl_area * len(d.instances))
+        delta = (sum(AREA_PER_FANIN * max(1, nl.gates[g].fanin)
+                     for g in removed)
+                 + DFF_AREA * len(d.instances) - FTL_AREA * len(d.instances))
         cost_ok &= abs((d.cost.area_before - d.cost.area_after) - delta) < 1e-9
     ok = counts == expected and residual_ok and equiv and cost_ok
     report(11, "corpus maps 2/1/0 cones with exact costs and equivalence",

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftl.device import (DeviceParams, FtlCell, VariationSample, _pcg64_seeds,
+from ftl.device import (C_EFF, CLOCK_FREQ, DUTY, SWITCHING_ACTIVITY,
+                        DeviceParams, FtlCell, VariationSample, _pcg64_seeds,
                         branch_conductance, conductances, evaluate,
                         model_power, respond, sample_variation, verify_cell,
                         worst_case_delay)
@@ -29,7 +30,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DeviceParams(delta=0.5)  # not < vdd/2
     with pytest.raises(ValueError):
-        DeviceParams(alpha=3.0)
+        DeviceParams(vgate=0.45)  # not > vdd/2
 
 
 def test_conductance_cutoff():
@@ -39,8 +40,8 @@ def test_conductance_cutoff():
 
 
 def test_conductance_linear_case():
-    p = DeviceParams(alpha=1.0)
-    assert branch_conductance(0.0, p) == pytest.approx(0.9)
+    p = DeviceParams()
+    assert branch_conductance(0.0, p) == 0.9 ** 1.3
 
 
 def test_conductance_monotone_in_vt():
@@ -256,8 +257,8 @@ def test_table_checks_equal_per_minterm_evaluate(n):
             assert worst_case_delay(cell, tt) == max(r.delay for r in nominal)
             static_g = np.mean([min(r.g_left, r.g_right) for r in nominal])
             assert model_power(cell, tt) == (
-                p.switching_activity * p.clock_freq * p.c_eff * p.vdd ** 2
-                + p.vdd ** 2 * float(static_g) * p.duty)
+                SWITCHING_ACTIVITY * CLOCK_FREQ * C_EFF * p.vdd ** 2
+                + p.vdd ** 2 * float(static_g) * DUTY)
 
 
 def test_metastable_minterm_fails_table_checks():
@@ -294,10 +295,53 @@ def test_model_power_positive_and_scales_with_vdd():
     assert model_power(hi, tt) > p_lo
 
 
-def test_cell_json_round_trip():
-    cell = train(parse_truth_table("E8", 3)).cell
-    clone = FtlCell.from_json(cell.to_json())
-    assert clone.n == cell.n
-    assert clone.vt == pytest.approx(cell.vt, abs=1e-6)
-    assert clone.v_left == pytest.approx(cell.v_left, abs=1e-6)
-    assert clone.params.vdd == cell.params.vdd
+# to_json of one cell at 0.9 V and at 1.0 V; kappa follows vdd and vgate.
+CELL_JSON = {
+    0.9: """{
+  "n": 3,
+  "vt": [
+    0.3,
+    0.45,
+    0.6
+  ],
+  "v_left": 0.9,
+  "v_right": 0.42,
+  "params": {
+    "vdd": 0.9,
+    "vgate": 0.9,
+    "delta": 0.02,
+    "k_cond": 1.0,
+    "alpha": 1.3,
+    "tau0": 5e-11,
+    "tau1": 5.145e-12,
+    "kappa": 531211571704488.0
+  }
+}""",
+    1.0: """{
+  "n": 3,
+  "vt": [
+    0.3,
+    0.45,
+    0.6
+  ],
+  "v_left": 1.0,
+  "v_right": 0.42,
+  "params": {
+    "vdd": 1.0,
+    "vgate": 1.0,
+    "delta": 0.02,
+    "k_cond": 1.0,
+    "alpha": 1.3,
+    "tau0": 5e-11,
+    "tau1": 5.145e-12,
+    "kappa": 609189297267176.5
+  }
+}""",
+}
+
+
+def test_cell_json_matches_golden():
+    for vdd, golden in CELL_JSON.items():
+        p = DeviceParams(vdd=vdd)
+        cell = FtlCell(3, (0.3, 0.45, 0.6), p.vdd, 0.42, p)
+        assert cell.to_json() == golden

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from ftl import mapping
-from ftl.mapping import (COST, export_mapped_blif, map_ftl,
-                         verify_equivalence, write_cost_csv)
+from ftl.mapping import (AREA_PER_FANIN, DFF_AREA, FTL_AREA,
+                         export_mapped_blif, map_ftl, verify_equivalence,
+                         write_cost_csv)
 from ftl.netlist import Latch, enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, f115_table
 from ftl.truthtable import TruthTable
@@ -40,13 +41,13 @@ def test_hybrid_two_replacements(catalog):
 def test_hybrid_cost_accounting_exact(catalog):
     nl = load("fig2_hybrid.blif")
     before = copy.deepcopy(nl)
-    cost = COST
     design = map_ftl(nl, catalog=catalog)
     assert (nl.gates, nl.latches) == (before.gates, before.latches)
     removed_gates = set(nl.gates) - set(design.netlist.gates)
-    removed_area = sum(cost.gate_area(nl.gates[g]) for g in removed_gates)
-    removed_area += cost.dff_area * len(design.instances)
-    added_area = cost.ftl_area * len(design.instances)
+    removed_area = sum(AREA_PER_FANIN * max(1, nl.gates[g].fanin)
+                       for g in removed_gates)
+    removed_area += DFF_AREA * len(design.instances)
+    added_area = FTL_AREA * len(design.instances)
     assert design.cost.area_after == pytest.approx(
         design.cost.area_before - removed_area + added_area)
     assert design.cost.cells_added == 2
@@ -216,8 +217,9 @@ def test_verdicts_match_per_call_step(catalog):
 def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
     """The random phase replays both designs on the mapped design's
     register trajectory, so its registers, PIs and outputs must be the
-    original's: an extra latch, a foreign design, a renamed PI and a
-    dropped output each raise, naming the net."""
+    original's, and every net it reads must be driven: an extra latch, a
+    foreign design, a renamed PI, a dropped output, an undriven output and
+    an undriven gate input each raise, naming the net."""
     nl = load("f115_nandinv.blif")
     design = map_ftl(nl, catalog=catalog)
     extra = copy.deepcopy(design)
@@ -229,8 +231,14 @@ def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
     no_co = copy.deepcopy(foreign)
     del no_co.netlist.gates["co"]
     no_co.netlist.outputs.remove("co")
+    undriven = []
+    for gate in ("co", "co_n"):
+        undriven.append(copy.deepcopy(foreign))
+        del undriven[-1].netlist.gates[gate]
     for original, bad, net in ((nl, extra, "zq"), (nl, foreign, "gq"),
-                               (nl, renamed, "a"), (hybrid, no_co, "co")):
+                               (nl, renamed, "a"), (hybrid, no_co, "co"),
+                               (hybrid, undriven[0], "co"),
+                               (hybrid, undriven[1], "co_n")):
         with pytest.raises(ValueError, match=f"'{net}'"):
             verify_equivalence(original, bad)
     assert verify_equivalence(nl, design).equivalent
