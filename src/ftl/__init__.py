@@ -37,7 +37,6 @@ from .analysis import (
     check_timing,
     conductivity_map,
     margin_schedule,
-    retune_delay,
     vdd_sweep,
     yield_mc,
 )

@@ -1,6 +1,6 @@
 """Monte Carlo yield, delay distributions, conductivity-space export,
-supply-voltage sweeps, and single-path timing checks with post-fab
-delay retuning.
+supply-voltage sweeps, and single-path timing checks.  A post-fab
+timing fix is the first margin_schedule level that check_timing passes.
 
 Default variation sigmas are calibrated once so that the margin-0
 trained F115 reference cell yields well below 1.0 while the top of the
@@ -222,7 +222,8 @@ def margin_schedule(
     cfg = TrainConfig(delta=ROBUST_TRAIN_DELTA, record_trace=True)
     cur = train(tt, params, cfg)
     if not cur.converged:
-        raise TrainingError("margin-0 training failed; not a threshold function")
+        raise TrainingError(f"margin-0 training did not converge (stopped on "
+                            f"{cur.stop_reason})")
     levels = []
 
     def add(margin, result):
@@ -249,53 +250,17 @@ class RetuneError(Exception):
         self.closest_delay = closest_delay
 
 
-def retune_delay(
-    cell: FtlCell,
-    tt: TruthTable,
-    target: float,
-    direction: str,
-    levels: list[MarginLevel],
-) -> FtlCell:
-    """Reprogram for a different C2Q by picking one of the margin_schedule
-    levels: 'faster' walks them up until worst-case delay <= target,
-    'slower' walks them down until worst-case delay >= target.  The result
-    always verifies tt."""
-    if direction not in ("faster", "slower"):
-        raise ValueError("direction must be 'faster' or 'slower'")
-    if not verify_cell(cell, tt):
-        raise ValueError("cell does not verify the target function")
-    if direction == "faster":
-        for lv in levels:
-            if lv.delay <= target:
-                return lv.result.cell
-        raise RetuneError("no margin level is fast enough",
-                          min(lv.delay for lv in levels))
-    for lv in reversed(levels):
-        if lv.delay >= target:
-            return lv.result.cell
-    raise RetuneError("no margin level is slow enough",
-                      max(lv.delay for lv in levels))
-
-
-# Shipped single-path scenarios for post-fab timing correction.  The
-# launch register is an FTL cell whose modeled worst-case delay acts as
-# its C2Q; the capture side is a conventional flip-flop.
-SETUP_SCENARIO = Datapath(
-    launch_c2q=0.0,  # filled from the cell under test
-    comb_delay=700e-12,
-    capture_setup=67e-12,
-    capture_hold=80e-12,
-    clock_period=1e-9,
-    capture_skew=-60e-12,
-)
-HOLD_SCENARIO = Datapath(
-    launch_c2q=0.0,
-    comb_delay=50e-12,
-    capture_setup=67e-12,
-    capture_hold=80e-12,
-    clock_period=1e-9,
-    capture_skew=100e-12,
-)
+# Shipped single-path scenarios for post-fab timing correction, keyed by
+# the violation each provokes.  The launch register is an FTL cell whose
+# modeled worst-case delay is its C2Q, filled in from the cell under test;
+# both paths end in the same conventional capture flip-flop and clock.
+_CAPTURE = dict(capture_setup=67e-12, capture_hold=80e-12, clock_period=1e-9)
+SCENARIOS = {
+    "setup": Datapath(0.0, comb_delay=700e-12, capture_skew=-60e-12,
+                      **_CAPTURE),
+    "hold": Datapath(0.0, comb_delay=50e-12, capture_skew=100e-12,
+                     **_CAPTURE),
+}
 
 
 @dataclass
@@ -314,30 +279,23 @@ def run_timing_fix(
     params: DeviceParams | None = None,
     scenario: str = "setup",
 ) -> TimingFix:
-    """Provoke a setup (or hold) violation with the slowest (fastest)
-    trained cell as launch register, then fix it by retuning the delay."""
-    params = params or DeviceParams()
+    """Provoke a setup (hold) violation with the slowest (fastest) level of
+    margin_schedule as launch register, then fix it by reprogramming: walk
+    the ladder from that end and keep the first level at whose delay
+    check_timing reports no such violation."""
+    dp = SCENARIOS[scenario]
     levels = margin_schedule(tt, params)
-    if scenario == "setup":
-        dp = SETUP_SCENARIO
-        cell = levels[0].result.cell  # slowest: margin-0 training
-        target = (dp.clock_period + dp.capture_skew
-                  - dp.comb_delay - dp.capture_setup)
-        direction = "faster"
-    elif scenario == "hold":
-        dp = HOLD_SCENARIO
-        cell = levels[-1].result.cell  # fastest: top of the margin schedule
-        target = dp.capture_hold + dp.capture_skew - dp.comb_delay
-        direction = "slower"
-    else:
-        raise ValueError("scenario must be 'setup' or 'hold'")
-
-    d_before = worst_case_delay(cell, tt)
-    before = check_timing(replace(dp, launch_c2q=d_before))
-    fixed = retune_delay(cell, tt, target, direction, levels)
-    d_after = worst_case_delay(fixed, tt)
-    after = check_timing(replace(dp, launch_c2q=d_after))
-    return TimingFix(scenario, before, after, cell, fixed, d_before, d_after)
+    if scenario == "hold":
+        levels.reverse()  # fastest first: the top of the margin schedule
+    start = levels[0]
+    before = check_timing(replace(dp, launch_c2q=start.delay))
+    for lv in levels:
+        after = check_timing(replace(dp, launch_c2q=lv.delay))
+        if scenario not in after.violations:
+            return TimingFix(scenario, before, after, start.result.cell,
+                             lv.result.cell, start.delay, lv.delay)
+    raise RetuneError(f"no margin level clears the {scenario} violation",
+                      levels[-1].delay)
 
 
 def write_yield_csv(report: YieldReport, fp) -> None:

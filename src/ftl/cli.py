@@ -246,10 +246,7 @@ def _exp_delay_hist(params, mc, scenario):
 
 def _exp_timing_fix(params, mc, scenario):
     tt = threshold.f115_table()
-    try:
-        fix = analysis.run_timing_fix(tt, params, scenario)
-    except (ValueError, analysis.RetuneError) as e:
-        raise CliError(str(e), EXIT_CONVERGENCE)
+    fix = analysis.run_timing_fix(tt, params, scenario)
     ok = verify_cell(fix.cell_after, tt)
     rows = [["stage", "launch_c2q", "setup_slack", "hold_slack", "violations",
              "verified"],
@@ -301,10 +298,14 @@ def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
     _ensure_out(out)
     params = _device_params(vdd, delta)
     scenario = args[0] if args else "setup"
-    if scenario not in ("setup", "hold"):
-        raise CliError("timing-fix takes 'setup' or 'hold'", EXIT_VALIDATION)
+    if scenario not in analysis.SCENARIOS:
+        raise CliError("timing-fix takes one of "
+                       f"{', '.join(analysis.SCENARIOS)}", EXIT_VALIDATION)
     mc = analysis.McConfig(trials, sigma_local, sigma_global, sigma_k, seed)
-    tables = EXPERIMENTS[name](params, mc, scenario)
+    try:
+        tables = EXPERIMENTS[name](params, mc, scenario)
+    except (TrainingError, analysis.RetuneError) as e:
+        raise CliError(str(e), EXIT_CONVERGENCE)
     for fname, text in tables.items():
         _write_text(os.path.join(out, fname), text,
                     not no_header, f"experiments {name}")
@@ -326,9 +327,11 @@ def cmd_map(blif, k, seed, out, no_header):
     """Map threshold cones of a BLIF netlist onto FTL cells."""
     _ensure_out(out)
     try:
-        text = open(blif).read()
+        text = open(blif, encoding="utf-8").read()
     except OSError as e:
         raise CliError(f"cannot read {blif}: {e}", EXIT_IO)
+    except UnicodeDecodeError as e:
+        raise CliError(f"{blif} is not UTF-8 text: {e}", EXIT_VALIDATION)
     try:
         nl = netlist.parse_blif(text)
     except netlist.NetlistError as e:

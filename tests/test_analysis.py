@@ -2,15 +2,16 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ftl.analysis import (Datapath, HIST_BINS, HOLD_SCENARIO, McConfig,
-                          RetuneError, SETUP_SCENARIO, YIELD_BLOCK,
-                          check_timing, conductivity_map, margin_schedule,
-                          retune_delay, run_timing_fix, vdd_sweep,
-                          write_histogram_csv, write_yield_csv, yield_mc)
+from ftl.analysis import (Datapath, HIST_BINS, McConfig, RetuneError,
+                          SCENARIOS, YIELD_BLOCK, check_timing,
+                          conductivity_map, margin_schedule, run_timing_fix,
+                          vdd_sweep, write_histogram_csv, write_yield_csv,
+                          yield_mc)
 from ftl.device import DeviceParams, evaluate, verify_cell, worst_case_delay
 from ftl.threshold import f115_table
 from ftl.train import train
@@ -188,35 +189,77 @@ def test_margin_schedule_monotone(f115_levels):
         assert verify_cell(lv.result.cell, F115)
 
 
-def test_retune_faster_and_slower(f115_levels):
-    baseline = f115_levels[0].result.cell
-    d0 = worst_case_delay(baseline, F115)
-    fast = retune_delay(baseline, F115, target=d0 * 0.6, direction="faster",
-                        levels=f115_levels)
-    assert worst_case_delay(fast, F115) <= d0 * 0.6
-    assert verify_cell(fast, F115)
-    quick = f115_levels[-1].result.cell
-    d1 = worst_case_delay(quick, F115)
-    slow = retune_delay(quick, F115, target=d1 * 1.5, direction="slower",
-                        levels=f115_levels)
-    assert worst_case_delay(slow, F115) >= d1 * 1.5
-    assert verify_cell(slow, F115)
+def reference_fix(levels, scenario, dp):
+    """The target/direction walk that picked a timing fix before it was
+    read off check_timing: setup walks the levels slowest first to the
+    first delay <= the setup target, hold walks them fastest first to the
+    first delay >= the hold target.  None when no level reaches it."""
+    if scenario == "setup":
+        target = (dp.clock_period + dp.capture_skew
+                  - dp.comb_delay - dp.capture_setup)
+        return next((lv for lv in levels if lv.delay <= target), None)
+    target = dp.capture_hold + dp.capture_skew - dp.comb_delay
+    return next((lv for lv in reversed(levels) if lv.delay >= target), None)
 
 
-def test_retune_current_delay_is_satisfiable(f115_levels):
-    cell = f115_levels[0].result.cell
-    d0 = worst_case_delay(cell, F115)
-    out = retune_delay(cell, F115, target=d0, direction="faster",
-                       levels=f115_levels)
-    assert worst_case_delay(out, F115) <= d0
+def skew_for_target(dp, scenario, target):
+    """The capture skew that puts dp's target C2Q at target."""
+    if scenario == "setup":
+        return target + dp.comb_delay + dp.capture_setup - dp.clock_period
+    return target + dp.comb_delay - dp.capture_hold
 
 
-def test_retune_unreachable_reports_closest(f115_levels):
-    cell = f115_levels[0].result.cell
+@pytest.mark.parametrize("vdd", [0.9, 0.8, 1.0])
+@pytest.mark.parametrize("scenario", ["setup", "hold"])
+def test_timing_fix_matches_target_walk(monkeypatch, vdd, scenario):
+    """Targets 1 ps to either side of every level's delay, and beyond both
+    ends of the ladder: check_timing picks the level the target walk
+    picks, and raises where that walk finds none."""
+    params = DeviceParams(vdd=vdd)
+    levels = margin_schedule(F115, params)
+    delays = [lv.delay for lv in levels]
+    targets = [d + off for d in delays for off in (-1e-12, 1e-12)]
+    targets += [min(delays) / 2, max(delays) * 2]
+    shipped, picked = SCENARIOS[scenario], set()
+    for target in targets:
+        dp = replace(shipped,
+                     capture_skew=skew_for_target(shipped, scenario, target))
+        monkeypatch.setitem(SCENARIOS, scenario, dp)
+        ref = reference_fix(levels, scenario, dp)
+        if ref is None:
+            with pytest.raises(RetuneError):
+                run_timing_fix(F115, params, scenario)
+            continue
+        fix = run_timing_fix(F115, params, scenario)
+        assert fix.cell_after == ref.result.cell
+        assert fix.delay_after == ref.delay
+        picked.add(ref.margin)
+    assert picked == {lv.margin for lv in levels}
+
+
+@pytest.mark.parametrize("scenario", ["setup", "hold"])
+def test_timing_fix_start_level_already_met(monkeypatch, scenario):
+    monkeypatch.setitem(SCENARIOS, scenario,
+                        Datapath(0.0, 300e-12, 67e-12, 80e-12, 1e-9, 0.0))
+    fix = run_timing_fix(F115, scenario=scenario)
+    assert fix.before.violations == ()
+    assert fix.after == fix.before
+    assert fix.cell_after == fix.cell_before
+    assert fix.delay_after == fix.delay_before
+
+
+@pytest.mark.parametrize("scenario,dp,closest", [
+    ("setup", Datapath(0.0, 1e-9, 67e-12, 80e-12, 1e-9, 0.0), -1),
+    ("hold", Datapath(0.0, 0.0, 67e-12, 80e-12, 1e-9, 1e-9), 0)],
+    ids=["setup", "hold"])
+def test_timing_fix_unreachable_reports_closest(monkeypatch, f115_levels,
+                                                 scenario, dp, closest):
+    monkeypatch.setitem(SCENARIOS, scenario, dp)
     with pytest.raises(RetuneError) as ei:
-        retune_delay(cell, F115, target=1e-15, direction="faster",
-                     levels=f115_levels)
-    assert ei.value.closest_delay > 1e-15
+        run_timing_fix(F115, scenario=scenario)
+    delay = f115_levels[closest].delay
+    assert ei.value.closest_delay == delay
+    assert f"closest achieved: {delay:.3e} s" in str(ei.value)
 
 
 def test_run_timing_fix_setup():
@@ -233,11 +276,6 @@ def test_run_timing_fix_hold():
     assert fix.after.violations == ()
     assert fix.delay_after > fix.delay_before
     assert verify_cell(fix.cell_after, F115)
-
-
-def test_shipped_scenarios_shape():
-    assert SETUP_SCENARIO.clock_period == HOLD_SCENARIO.clock_period == 1e-9
-    assert SETUP_SCENARIO.capture_skew < 0 < HOLD_SCENARIO.capture_skew
 
 
 def test_csv_writers():

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from ftl import analysis
 from ftl.cli import main
 from ftl.mapping import map_ftl
 from ftl.netlist import parse_blif
@@ -139,6 +140,28 @@ def test_timing_fix_setup(runner, tmp_path):
     assert float(after[2]) >= 0 and after[4] == "none"
 
 
+@pytest.mark.parametrize("name", ["yield-sweep", "conductivity", "vdd-sweep",
+                                  "delay-hist", "timing-fix"])
+def test_schedule_experiments_exit_3_without_convergence(runner, tmp_path,
+                                                         name):
+    """At --delta 0.44, F115's margin-0 training ends in a cycle."""
+    r = runner.invoke(main, ["experiments", name, "--delta", "0.44", "--out",
+                             str(tmp_path)])
+    assert r.exit_code == 3, r.output
+    assert "margin-0 training did not converge (stopped on cycle)" in r.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_unreachable_timing_fix_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setitem(analysis.SCENARIOS, "setup",
+                        analysis.Datapath(0.0, 1e-9, 67e-12, 80e-12, 1e-9))
+    r = runner.invoke(main, ["experiments", "timing-fix", "setup", "--out",
+                             str(tmp_path)])
+    assert r.exit_code == 3, r.output
+    assert "no margin level clears the setup violation" in r.output
+    assert "closest achieved" in r.output
+
+
 def test_map_hybrid(runner, tmp_path):
     r = runner.invoke(main, ["map", f"{CORPUS}/fig2_hybrid.blif", "--out",
                              str(tmp_path), "--no-header"])
@@ -206,6 +229,14 @@ def test_mc_flags_out_of_range(runner, tmp_path, flag):
                              str(tmp_path)])
     assert r.exit_code == 2
     assert flag[0] in r.output
+
+
+def test_map_non_utf8_file(runner, tmp_path):
+    blif = tmp_path / "latin1.blif"
+    blif.write_bytes(b".model caf\xe9\n.inputs a\n.outputs a\n.end\n")
+    r = runner.invoke(main, ["map", str(blif), "--out", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert str(blif) in r.output and "not UTF-8" in r.output
 
 
 def test_map_missing_file(runner, tmp_path):
