@@ -344,7 +344,8 @@ def cmd_map(blif, k, seed, out, no_header):
     cost_text = _capture_csv(lambda fp: mapping.write_cost_csv(design, fp))
     _write_text(os.path.join(out, "cost.csv"), cost_text, not no_header, "map")
     equiv_lines = [f"equivalent: {report.equivalent}",
-                   f"stimuli_checked: {report.cycles_checked}"]
+                   f"stimuli_checked: {report.cycles_checked}",
+                   f"proved: {report.proved}"]
     if report.first_divergence:
         equiv_lines.append(
             f"first_divergence: cycle {report.first_divergence[0]} "

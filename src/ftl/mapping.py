@@ -8,8 +8,12 @@ complemented inputs.  Gates still fanning out elsewhere are kept.
 
 Equivalence checking treats an FTL cell as the paper does, an edge-
 triggered register loading a threshold function, so the mapped design is a
-plain netlist over the original's registers.  Random multi-cycle
-co-simulation and the exhaustive single-cycle sweep share one word step.
+plain netlist over the original's registers.  Equivalence from reset is
+then proved register by register, by register correspondence (van Eijk,
+"Sequential equivalence checking based on structural similarities", IEEE
+TCAD 2000).  Only a design the proof cannot close is co-simulated: random
+multi-cycle stimuli and the exhaustive single-cycle sweep share one word
+step, and name the first diverging cycle and signal.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netlist import (Gate, Latch, Netlist, NetlistError, _post_order,
+from .netlist import (Cut, Gate, Latch, Netlist, NetlistError, _post_order,
                       all_patterns, cut_function, enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
 from .truthtable import TruthTable
@@ -202,6 +206,7 @@ class EquivalenceReport:
     equivalent: bool
     cycles_checked: int
     first_divergence: tuple[int, str] | None = None  # (cycle, signal)
+    proved: bool = False  # by register correspondence, without simulation
 
 
 def _words(bits) -> list[int]:
@@ -210,29 +215,60 @@ def _words(bits) -> list[int]:
         np.asarray(bits, np.uint8), axis=0, bitorder="little").T]
 
 
+def _corresponds(original: Netlist, mapped: MappedDesign,
+                 flat: Netlist) -> bool:
+    """Register correspondence of the flattened mapped design: (a) every
+    residual gate and latch is the original's; (b) each cell's function is
+    its latch's cone function of the cell's leaves in the original; (c)
+    each cell resets as its latch did.  Leaves that do not cut the cone, or
+    too many to simulate, fail the proof."""
+    residual = mapped.netlist
+    if any(original.gates.get(n) != g for n, g in residual.gates.items()):
+        return False
+    if any(original.latches[q] != l for q, l in residual.latches.items()):
+        return False
+    try:
+        return all(original.latches[i.q].init == flat.latches[i.q].init
+                   and cut_function(original, Cut(
+                       original.latches[i.q].d, i.leaves)) == i.function
+                   for i in mapped.instances)
+    except (KeyError, ValueError, NetlistError):
+        return False
+
+
 def verify_equivalence(
     original: Netlist,
     mapped: MappedDesign,
     cycles: int = 64,
     stimuli_seed: int = 0,
 ) -> EquivalenceReport:
-    """Co-simulation from reset: random multi-cycle stimuli, then every
-    single-cycle PI pattern when there are at most 10 PIs, in one word step
-    per design.  Latches are compared after each step.  A divergence names
-    the first cycle, sweep pattern m counting as cycle cycles + m, and
-    within it the first signal in sorted order.
+    """Equivalence from reset, proved when it can be, else co-simulated.
 
     Each FTL instance is a register, reset 0, loading its threshold gate,
-    so both designs are netlists over the same registers.  The mapped one
-    is stepped alone for its register trajectory; then bit c < cycles
-    replays cycle c: PI words from the stimuli, state words from the
-    trajectory but for bit 0, each side's own reset.  All registers are
-    watched, so by induction both designs enter cycle c in the replayed
-    state if none diverges before it: bits below the first divergence are
-    0, and the bit at it is exact.  Bit cycles + m is sweep pattern m from
-    reset, exact on its own, so the lowest differing bit is the report.
-    Foreign registers, PIs or outputs, or nets not driven once, raise
-    ValueError naming one."""
+    so both designs are netlists over the same registers.  The proof is
+    register correspondence (van Eijk, IEEE TCAD 2000), `_corresponds`:
+    both designs start in the same state, and from equal states the
+    residual gates, the cells and the residual latches compute what the
+    original computes, so by induction over cycles every output and
+    register agrees on every input sequence, whatever the PI count.  A
+    proven report has proved=True and the cycles_checked the co-simulation
+    would have covered: it cannot diverge on any of them, so the report is
+    the one co-simulation gives.
+
+    Otherwise the designs are co-simulated: random multi-cycle stimuli,
+    then every single-cycle PI pattern when there are at most 10 PIs, in
+    one word step per design.  Latches are compared after each step.  A
+    divergence names the first cycle, sweep pattern m counting as cycle
+    cycles + m, and within it the first signal in sorted order.  The
+    mapped design is stepped alone for its register trajectory; then bit
+    c < cycles replays cycle c: PI words from the stimuli, state words
+    from the trajectory but for bit 0, each side's own reset.  All
+    registers are watched, so by induction both designs enter cycle c in
+    the replayed state if none diverges before it: bits below the first
+    divergence are 0, and the bit at it is exact.  Bit cycles + m is sweep
+    pattern m from reset, exact on its own, so the lowest differing bit is
+    the report.  Foreign registers, PIs or outputs, or nets not driven
+    once, raise ValueError naming one, before either path runs."""
     pis = original.inputs
     registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
     for theirs, ours in ((registers, [*original.latches]),
@@ -252,6 +288,11 @@ def verify_equivalence(
         flat.check_drivers()
     except NetlistError as e:
         raise ValueError(f"mapped design: {e}") from None
+    sweep_ones, sweep = (all_patterns(pis) if len(pis) <= 10
+                         else (0, dict.fromkeys(pis, 0)))
+    ones = (1 << cycles) - 1 | sweep_ones << cycles
+    if _corresponds(original, mapped, flat):
+        return EquivalenceReport(True, ones.bit_length(), proved=True)
     program_m = flat.program()
     stimuli = np.random.default_rng(stimuli_seed).integers(
         0, 2, size=(cycles, len(pis)))
@@ -261,10 +302,7 @@ def verify_equivalence(
                                     program_m)[1])
     replayed = dict(zip(flat.latches, _words(
         [[s[q] for q in flat.latches] for s in trajectory])))
-    sweep_ones, sweep = (all_patterns(pis) if len(pis) <= 10
-                         else (0, dict.fromkeys(pis, 0)))
     replay = (1 << cycles) - 1 & ~1  # bits whose state is replayed
-    ones = (1 << cycles) - 1 | sweep_ones << cycles
     reset = ones ^ replay
     pi_values = {x: w | sweep[x] << cycles
                  for x, w in zip(pis, _words(stimuli))}

@@ -190,6 +190,8 @@ def parse_blif(text: str) -> Netlist:
             lines[-1] = lines[-1][:-1] + " " + line.strip()
         else:
             lines.append(line.strip())
+    if not lines:
+        raise NetlistError("no BLIF directive in the text")
 
     i = 0
     while i < len(lines):

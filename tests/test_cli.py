@@ -168,6 +168,8 @@ def test_map_hybrid(runner, tmp_path):
     assert r.exit_code == 0, r.output
     assert "2 replacements, equivalence PASS" in r.output
     assert read(tmp_path / "mapped.blif").count(".subckt ftl5") == 2
+    assert read(tmp_path / "equivalence.txt") == \
+        "equivalent: True\nstimuli_checked: 128\nproved: True\n"
 
 
 def test_map_xor_ring(runner, tmp_path):
@@ -182,6 +184,18 @@ def test_map_malformed_blif(runner, tmp_path):
     bad.write_text(".model x\n.inputs a\n.outputs y\n.frobnicate\n.end\n")
     r = runner.invoke(main, ["map", str(bad), "--out", str(tmp_path)])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# no netlist here\n"])
+def test_map_blif_without_directives(runner, tmp_path, text):
+    """A file with no directive is no netlist: it exits 2, where it used
+    to map as an empty design with equivalence PASS."""
+    empty = tmp_path / "empty.blif"
+    empty.write_text(text)
+    r = runner.invoke(main, ["map", str(empty), "--out", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "no BLIF directive" in r.output
+    assert not (tmp_path / "equivalence.txt").exists()
 
 
 # a * (b + c + d + e + f): a 6-input threshold cone in four gates

@@ -11,7 +11,7 @@ from ftl import mapping
 from ftl.mapping import (AREA_PER_FANIN, DFF_AREA, FTL_AREA,
                          export_mapped_blif, map_ftl, verify_equivalence,
                          write_cost_csv)
-from ftl.netlist import Latch, enumerate_cuts, parse_blif
+from ftl.netlist import Latch, Netlist, enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, f115_table
 from ftl.truthtable import TruthTable
 from helpers import dead_gates_walk, reference_cuts, scalar_step
@@ -199,6 +199,25 @@ def test_verdicts_match_per_call_step(catalog):
         assert [inst.q for inst in design.instances] == ["q0", "q1"]
         m = int(np.random.default_rng(seed).integers(32))
         cases += [(nl, design), (nl, flip_minterms(design, [m, None]))]
+    # One case per proof condition broken: a residual gate's table (co, a
+    # buffer, becomes an inverter), the reset of a residual latch that the
+    # output y reads, and a cell whose leaves no longer cut its cone (a
+    # dropped, the cell taking the a = 1 cofactor b + c + d + e).
+    nl = load("fig2_hybrid.blif")
+    design = copy.deepcopy(map_ftl(nl, catalog=catalog))
+    design.netlist.gates["co"].table = TruthTable(1, 0b01)
+    cases.append((nl, design))
+    nl = feedback_design(0, 3)
+    design = copy.deepcopy(map_ftl(nl, catalog=catalog))
+    design.netlist.latches["r0"].init ^= 1
+    cases.append((nl, design))
+    nl = load("f115_nandinv.blif")
+    design = map_ftl(nl, catalog=catalog)
+    [inst] = design.instances
+    assert inst.leaves == tuple("abcde")
+    cofactor = sum(inst.function.value(2 * m + 1) << m for m in range(16))
+    cases.append((nl, replace(design, instances=[replace(
+        inst, leaves=inst.leaves[1:], function=TruthTable(4, cofactor))])))
     # With cycles=0 every divergence is found by the sweep.
     for nl, design in cases:
         for cycles in (0, 1, 5, 64, 65):
@@ -209,9 +228,32 @@ def test_verdicts_match_per_call_step(catalog):
                     reference_report(nl, design, cycles, seed), nl.model
     assert [reference_report(*case)[0] for case in cases] == \
         [True, True, True, False, False, True, False, False] + \
-        [True, False, True, False, True, False, False, False]
+        [True, False, True, False, True, False, False, False] + \
+        [False, False, False]
+    # Proved: the unaltered mappings whose replaced latches all reset to 0.
+    # The reset-to-1 case and feedback seeds 1-3 each replace a reset-to-1
+    # latch; co-simulation passes seeds 1 and 2 all the same.
+    assert [verify_equivalence(*case).proved for case in cases] == \
+        [True, True, True, False, False, True, False, False] + \
+        [True, False, False, False, False, False, False, False] + \
+        [False, False, False]
     assert [verify_equivalence(nl, design, 0).first_divergence
             for nl, design in cases[6:8]] == [(28, "gq"), (28, "fq")]
+
+
+def test_proof_needs_no_simulation(catalog, monkeypatch):
+    """A corpus mapping is proved by register correspondence alone: with
+    Netlist.step raising, each still gives the per-call reference report."""
+    def step(*args, **kwargs):
+        raise AssertionError("Netlist.step called")
+    monkeypatch.setattr(Netlist, "step", step)
+    for name in ("fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif"):
+        nl = load(name)
+        design = map_ftl(nl, catalog=catalog)
+        report = verify_equivalence(nl, design)
+        assert report.proved, name
+        assert (report.equivalent, report.cycles_checked,
+                report.first_divergence) == reference_report(nl, design)
 
 
 def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
@@ -371,7 +413,14 @@ def test_deep_chain_maps_without_recursion(catalog):
         [f"n{depth - 4}", *(f"x{i}" for i in range(depth - 3, depth + 1))]))
     assert inst.function == TruthTable(5, 1 << 31)  # AND of the five
     assert mapped.cost.cells_removed == 5  # n_{depth-3..depth} and the latch
-    assert verify_equivalence(nl, mapped).equivalent
+    assert verify_equivalence(nl, mapped) == \
+        mapping.EquivalenceReport(True, 64, proved=True)
+    # A cell forced to constant 0 is not proved, but 64 random cycles over
+    # 2,001 PIs never set the latch input, so co-simulation passes it.
+    const0 = replace(mapped, instances=[replace(
+        inst, function=TruthTable(5, 0))])
+    assert verify_equivalence(nl, const0) == \
+        mapping.EquivalenceReport(True, 64, proved=False)
 
 
 def test_dangling_gate_kept_and_not_counted(catalog):
