@@ -1,10 +1,12 @@
 """Mapping flip-flop fan-in cones onto FTL cells.
 
-For each flip-flop, the k-feasible cuts of its data input are scanned for
-threshold cone functions; the cut with the greatest area saving (cone
-gates that become unreferenced, plus the flip-flop, minus one FTL cell)
-replaces the cone.  Negative-unate leaves are absorbed into the cell as
-complemented inputs.  Gates still fanning out elsewhere are kept.
+For each flip-flop, the k-feasible cuts of its data input are ranked by
+area saving: the flip-flop, plus the gates of the cut's maximum fanout-free
+cone, found by reference counting (Mishchenko, Chatterjee and Brayton,
+"DAG-aware AIG rewriting", DAC 2006), minus one FTL cell.  The first cut in
+that order that is a threshold function replaces the cone.  Negative-unate
+leaves are absorbed into the cell as complemented inputs.  Gates still
+fanning out elsewhere are kept.
 
 Equivalence checking treats an FTL cell as the paper does, an edge-
 triggered register loading a threshold function, so the mapped design is a
@@ -24,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netlist import (Cut, Gate, Latch, Netlist, NetlistError, _post_order,
-                      all_patterns, cut_function, enumerate_cuts, write_blif)
+from .netlist import (Cut, Gate, Latch, Netlist, NetlistError, all_patterns,
+                      cut_function, enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, canonicalize_np, check_threshold
 from .truthtable import TruthTable
 
@@ -81,19 +83,19 @@ class MappedDesign:
     cost: CostSummary
 
 
-def _dead_gates(nl: Netlist, kept_leaves: set[str], latch: str):
-    """Per-cut finder of the gates left unreferenced when latch's cone is
-    replaced by a cell on the cut's leaves.  The outputs, the other
-    latches' data inputs, kept_leaves and every gate outside the latch's
-    whole cone (mapping deletes none of them) hold live a fixed set, walked
-    once; each call walks only from its leaves, stopping at that set."""
-    d = nl.latches[latch].d
-    roots = kept_leaves | set(nl.outputs)
-    roots.update(l.d for q, l in nl.latches.items() if q != latch)
-    roots.update(set(nl.gates).difference(_post_order(nl, [d])))
-    fixed = set(_post_order(nl, roots))
-    cone = set(_post_order(nl, [d], fixed))
-    return lambda leaves: cone.difference(_post_order(nl, leaves, fixed))
+def _dead_gates(nl: Netlist, refs: Counter, root: str,
+                leaves: tuple[str, ...]) -> list[str]:
+    """The gates left unreferenced when root's reader is replaced by a cell
+    on leaves.  refs counts every reader of a net; each pop drops one, so a
+    gate dies on the pop that drops its last, and leaves never die."""
+    dead, drops, stack = [], Counter(), [root]
+    while stack:
+        net = stack.pop()
+        drops[net] += 1
+        if drops[net] == refs[net] and net in nl.gates and net not in leaves:
+            dead.append(net)
+            stack.extend(nl.gates[net].inputs)
+    return dead
 
 
 def _arrival_times(nl: Netlist,
@@ -135,7 +137,7 @@ def map_ftl(
     catalog=None,  # list of CatalogEntry for index annotation
 ) -> MappedDesign:
     """Greedy per-flip-flop replacement; zero replacements is a valid
-    outcome.  Ties break on fewest leaves, then lexicographic leaf names."""
+    outcome.  Cuts rank by saving, then fewest leaves, then leaf names."""
     if not 1 <= k <= 5:
         raise ValueError(f"k must lie in 1..5, the ftl5 fan-in; got {k}")
     # Replacement only deletes gates and latches, so fresh dicts suffice
@@ -145,36 +147,32 @@ def map_ftl(
     path_before = _worst_path(nl, [])
     removed = 0
 
-    oracle = {}  # (n, bits) -> check_threshold's answer, for this call
     catalog_by_table = {e.table: e.index for e in catalog or ()}
 
     for q in sorted(nl.latches):
-        if q not in work.latches:
-            continue
         latch = work.latches[q]
         if latch.d not in work.gates:
             continue  # data driven by a PI or another latch: nothing to absorb
-        dead_gates = _dead_gates(
-            work, {leaf for inst in instances for leaf in inst.leaves}, q)
-        best = None  # (neg saving, n_leaves, leaves, cut, tt, tf, dead set)
+        # Every reader of a net: gate inputs, outputs, latches, placed cells
+        refs = Counter([*(x for g in work.gates.values() for x in g.inputs),
+                        *work.outputs, *(l.d for l in work.latches.values()),
+                        *(x for inst in instances for x in inst.leaves)])
+        ranked = []  # (key, cut, dead gates) of every cut that saves area
         for cut in enumerate_cuts(work, latch.d, k):
             if cut.trivial:
                 continue
-            tt = cut_function(work, cut)
-            if (tt.n, tt.bits) not in oracle:
-                oracle[tt.n, tt.bits] = check_threshold(tt)
-            tf = oracle[tt.n, tt.bits]
-            if tf is None:
-                continue
-            dead = dead_gates(cut.leaves)
+            dead = _dead_gates(work, refs, latch.d, cut.leaves)
             saving = (sum(_gate_area(work.gates[g]) for g in dead)
                       + DFF_AREA - FTL_AREA)
-            key = (-saving, len(cut.leaves), cut.leaves)
-            if saving > 0 and (best is None or key < best[0]):
-                best = (key, cut, tt, tf, dead)
-        if best is None:
+            if saving > 0:
+                ranked.append(((-saving, len(cut.leaves), cut.leaves), cut,
+                               dead))
+        for _, cut, removable in sorted(ranked, key=lambda r: r[0]):
+            tt = cut_function(work, cut)
+            if (tf := check_threshold(tt)) is not None:
+                break
+        else:
             continue
-        _, cut, tt, tf, removable = best
         cat_idx = None
         if catalog_by_table and not tt.is_constant():  # constants: no class
             cat_idx = catalog_by_table.get(canonicalize_np(tt))

@@ -1,16 +1,16 @@
 """Gate-level sequential netlists: a BLIF subset parser, cycle-accurate
 simulation, k-feasible cut enumeration, and cone truth-table extraction.
 
-Every walk over the gates is `_post_order`: the gates behind some roots,
-each after all of its inputs, stopping at given nets.  Simulation runs
-`Netlist.program()`, that walk over all gates as (net, inputs, table bits),
-in `step`.  Each net value is a word with one pattern per bit of a mask
-`ones`, so one pass evaluates one pattern, all 2^n assignments of n
-sources, or a recorded run of cycles with one cycle per bit.  `_read`
-reads each gate's inputs from the net values, for one pattern or a word.
-`enumerate_cuts` merges fan-in cuts along the walk of a root's cone, and
-`cut_function` runs the walk from a cut's root, stopped at its leaves,
-over every leaf pattern at once.
+Every walk over the gates in this module is `_post_order`: the gates behind
+some roots, each after all of its inputs, stopping at given nets.
+Simulation runs `Netlist.program()`, that walk over all gates as (net,
+inputs, table bits), in `step`.  Each net value is a word with one pattern
+per bit of a mask `ones`, so one pass evaluates one pattern, all 2^n
+assignments of n sources, or a recorded run of cycles with one cycle per
+bit.  `_read` reads each gate's inputs from the net values, for one pattern
+or a word.  `enumerate_cuts` merges fan-in cuts along the walk of a root's
+cone, and `cut_function` runs the walk from a cut's root, stopped at its
+leaves, over every leaf pattern at once.
 
 Supported BLIF directives: .model, .inputs, .outputs, .names (single
 output cover), .latch (D flip-flop), .end.

@@ -1,12 +1,15 @@
 """Checks shared by the tests."""
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
+from ftl import mapping
 from ftl.device import VariationSample
-from ftl.netlist import Cut
+from ftl.netlist import Cut, cut_function, enumerate_cuts
+from ftl.threshold import canonicalize_np, check_threshold
 from ftl.truthtable import Polarity, TruthTable, unateness
 
 
@@ -136,6 +139,50 @@ def dead_gates_walk(nl, kept, leaves, latch):
     roots = set(kept) | set(nl.outputs) | (set(nl.gates) - live([d]))
     roots.update(l.d for q, l in nl.latches.items() if q != latch)
     return live(roots | {d}) - live(roots | set(leaves))
+
+
+def reference_map(nl, k=5, catalog=None):
+    """map_ftl by exhaustive selection: latch by latch in sorted order,
+    greedily, every non-trivial cut is threshold-checked, its saving is
+    taken from dead_gates_walk, and the threshold cut with the minimum key
+    (-saving, leaf count, leaves) among those that save area replaces the
+    cone."""
+    work = replace(nl, gates=dict(nl.gates), latches=dict(nl.latches))
+    index = {e.table: e.index for e in catalog or ()}
+    instances, removed = [], 0
+    for q in sorted(nl.latches):
+        if work.latches[q].d not in work.gates:
+            continue
+        kept = {leaf for inst in instances for leaf in inst.leaves}
+        best = None
+        for cut in enumerate_cuts(work, work.latches[q].d, k):
+            if cut.trivial:
+                continue
+            tt = cut_function(work, cut)
+            tf = check_threshold(tt)
+            if tf is None:
+                continue
+            dead = dead_gates_walk(work, kept, cut.leaves, q)
+            saving = (sum(mapping._gate_area(work.gates[g]) for g in dead)
+                      + mapping.DFF_AREA - mapping.FTL_AREA)
+            key = (-saving, len(cut.leaves), cut.leaves)
+            if saving > 0 and (best is None or key < best[0]):
+                best = (key, cut, tt, tf, dead)
+        if best is None:
+            continue
+        _, cut, tt, tf, dead = best
+        instances.append(mapping.FtlInstance(
+            q, cut.leaves, tt,
+            sum(1 << i for i, w in enumerate(tf.weights) if w < 0), tf,
+            None if tt.is_constant() else index.get(canonicalize_np(tt))))
+        del work.latches[q]
+        for g in dead:
+            del work.gates[g]
+        removed += len(dead) + 1
+    return mapping.MappedDesign(work, instances, mapping.CostSummary(
+        mapping._total_area(nl, 0), mapping._total_area(work, len(instances)),
+        removed, len(instances), mapping._worst_path(nl, []),
+        mapping._worst_path(work, instances)))
 
 
 def permute_inputs_loop(tt, perm):

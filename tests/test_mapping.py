@@ -2,6 +2,7 @@
 
 import copy
 import io
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,10 @@ from ftl.mapping import (AREA_PER_FANIN, DFF_AREA, FTL_AREA,
                          export_mapped_blif, map_ftl, verify_equivalence,
                          write_cost_csv)
 from ftl.netlist import Latch, Netlist, enumerate_cuts, parse_blif
-from ftl.threshold import build_catalog, f115_table
+from ftl.threshold import build_catalog, check_threshold, f115_table
 from ftl.truthtable import TruthTable
-from helpers import dead_gates_walk, reference_cuts, scalar_step
+from helpers import (dead_gates_walk, reference_cuts, reference_map,
+                     scalar_step)
 
 CORPUS = "src/ftl/corpus"
 
@@ -332,8 +334,74 @@ def reader_of(net):
     return text.replace(".latch", f".names {net} zz\n1 1\n.latch")
 
 
+# A reconvergent cone in which u reads t twice: t has three readers in
+# d's cone, and a fourth (a placed cell's leaf) holds it live.
+TWICE = """.model twice
+.inputs a b c
+.outputs q
+.names a b t
+11 1
+.names t t u
+11 1
+.names u c v
+1- 1
+-1 1
+.names t v d
+11 1
+.latch d q re clk 0
+.end
+"""
+
+# p's cell takes x = ab as a leaf, so q's cone (ab + c + d)e must keep x:
+# then no cut of it saves area.
+SHARED = """.model shared
+.inputs a b c d e
+.outputs p q
+.names a b x
+11 1
+.names x c g1
+11 1
+.names g1 d g2
+11 1
+.names g2 e g3
+11 1
+.names g3 d pd
+11 1
+.latch pd p re clk 0
+.names x c h1
+1- 1
+-1 1
+.names h1 d h2
+1- 1
+-1 1
+.names h2 e qd
+11 1
+.latch qd q re clk 0
+.end
+"""
+
+# Cut {c, d, u} saves the three AND3s; the larger cut {a, b, c, d} saves
+# u = ab as well, so it wins.
+DEEPER = """.model deeper
+.inputs a b c d
+.outputs q
+.names a b u
+11 1
+.names u c d t1
+111 1
+.names t1 c d t2
+111 1
+.names t2 u c t3
+111 1
+.latch t3 q re clk 0
+.end
+"""
+
 DESIGNS = {"reenter": REENTER, "nb_reader": reader_of("nb"),
-           "t1_reader": reader_of("t1")}
+           "t1_reader": reader_of("t1"), "twice": TWICE,
+           "nb_output": open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+               ".outputs fq", ".outputs fq nb"),
+           "shared": SHARED, "deeper": DEEPER}
 NAMES = ["fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif", *DESIGNS]
 
 
@@ -352,24 +420,75 @@ def test_cuts_equal_recursive_reference(name):
                 nl, latch.d, k), (latch.q, k)
 
 
+def refs_of(nl, kept):
+    """Readers of every net: each gate-input occurrence, output and latch
+    data input, and each leaf in kept (the placed cells' leaves)."""
+    refs = Counter(x for g in nl.gates.values() for x in g.inputs)
+    refs.update([*nl.outputs, *(l.d for l in nl.latches.values()), *kept])
+    return refs
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_per_latch_dead_set_equals_whole_netlist_walk(name):
+    """Dereferencing from the latch's data input gives the set the
+    whole-netlist liveness walks give, for every cut, with and without
+    kept leaves."""
     nl = design(name)
     checked = 0
     for q, latch in sorted(nl.latches.items()):
         cuts = enumerate_cuts(nl, latch.d, 5)
         for kept in (set(), set(cuts[-1].leaves)):
-            dead_gates = mapping._dead_gates(nl, kept, q)
+            refs = refs_of(nl, kept)
             for cut in cuts:
-                assert dead_gates(cut.leaves) == dead_gates_walk(
+                dead = mapping._dead_gates(nl, refs, latch.d, cut.leaves)
+                assert len(dead) == len(set(dead))
+                assert set(dead) == dead_gates_walk(
                     nl, kept, cut.leaves, q), (q, kept, cut.leaves)
                 checked += 1
     assert checked
+
+    def dead_of(q, leaves, kept=()):
+        return set(mapping._dead_gates(nl, refs_of(nl, kept),
+                                       nl.latches[q].d, leaves))
     if name == "reenter":  # z dangles already: not part of any cone
-        assert mapping._dead_gates(nl, set(), "q")(("a", "b", "l")) == {"d"}
+        assert dead_of("q", ("a", "b", "l")) == {"d"}
     if name == "nb_reader":  # zz holds nb live, but not nc, nd or ne
-        dead = mapping._dead_gates(nl, set(), "fq")(("a", "b", "c", "d", "e"))
-        assert dead == {"nc", "nd", "ne", "t1", "t2", "f"}
+        assert dead_of("fq", tuple("abcde")) == {"nc", "nd", "ne", "t1",
+                                                 "t2", "f"}
+    if name == "twice":  # u's two reads of t are two references
+        assert dead_of("q", ("a", "b", "c")) == {"d", "v", "u", "t"}
+        assert dead_of("q", ("a", "b", "c"), {"t"}) == {"d", "v", "u"}
+
+
+@pytest.mark.parametrize("name", [*NAMES, "const_cone", "feedback"])
+def test_map_equals_exhaustive_reference(catalog, name):
+    """Checking cuts in score order until one is a threshold function
+    picks what checking every cut and taking the minimum key picks: the
+    same instances, residual netlist and cost summary."""
+    if name == "feedback":
+        nls = [feedback_design(seed, n_pis)
+               for seed, n_pis in enumerate((3, 5, 10, 11))]
+    else:
+        nls = [parse_blif(CONST_CONE) if name == "const_cone" else design(name)]
+    for nl in nls:
+        assert map_ftl(nl, catalog=catalog) == reference_map(
+            nl, catalog=catalog), nl.model
+
+
+def test_mapper_stops_at_first_threshold_cut(catalog, monkeypatch):
+    """Cuts are threshold-checked in score order only until one passes:
+    f115's best cut is F115 itself, fig2_hybrid's two latches each take
+    their first, and no cut of xor_ring saves area."""
+    calls = Counter()
+
+    def counted(tt):
+        calls[name] += 1
+        return check_threshold(tt)
+    monkeypatch.setattr(mapping, "check_threshold", counted)
+    names = ("f115_nandinv", "fig2_hybrid", "xor_ring")
+    for name in names:
+        map_ftl(load(f"{name}.blif"), catalog=catalog)
+    assert [calls[name] for name in names] == [1, 2, 0]
 
 
 @pytest.mark.parametrize("net, replaced, removed", [("nb", 1, 7),
