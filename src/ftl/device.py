@@ -4,9 +4,10 @@ The cell is reduced to a conductance comparison: for a minterm, the left
 network sums the branch conductances of inputs at 1 plus the left side
 device, the right network sums inputs at 0 plus the right side device.
 The output is 1 when G_L wins; the sense-amp resolution time is modeled
-as TAU0 + TAU1 / |G_L - G_R|.  `respond` decides one minterm for `evaluate`
-and for the trainer, which builds conductances once per cell state;
-`conductances` sums all minterms at once in the same order.
+as TAU0 + TAU1 / |G_L - G_R|.  One kernel, `input_sums`, adds the inputs
+of every minterm in ascending order: `respond` reads one minterm from it
+for `evaluate`, the trainer keeps it until an input device moves, and
+`conductances` builds it for a block of trials.
 
 Branch conductance uses the alpha-power law g = max(0, Vgate - Vt)^ALPHA
 (ALPHA = 1.3; Sakurai and Newton, IEEE JSSC 1990), a stand-in for the
@@ -22,6 +23,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -275,9 +277,10 @@ def _devices(cell: FtlCell, sample: VariationSample | None):
     g, local = sample.global_shift, sample.local
     vts = [v + (g + dv) for v, dv in zip(cell.vt, local)]
     vts += [cell.v_left + g + local[-2], cell.v_right + g + local[-1]]
-    if np.ndim(g):  # Python's ** per trial too: np.power can differ from it
-        return np.array([[branch_conductance(v, p) for v in row.tolist()]
-                         for row in vts]), sample.k_mult
+    if np.ndim(g):  # libm pow, as branch_conductance's **: np.power can differ
+        drive = np.maximum(p.vgate - np.array(vts), 0.0)
+        cond = map(math.pow, drive.ravel().tolist(), repeat(ALPHA))
+        return np.array(list(cond)).reshape(drive.shape), sample.k_mult
     return [branch_conductance(v, p) for v in vts], sample.k_mult
 
 
@@ -288,26 +291,30 @@ def sense_delay(gap: float) -> float:
     return math.inf if mag < METASTABLE_EPS else TAU0 + TAU1 / mag
 
 
-@lru_cache(maxsize=None)
-def _split(n: int) -> tuple:  # per minterm: (inputs at 1, inputs at 0)
-    return tuple((tuple(i for i in range(n) if (m >> i) & 1),
-                  tuple(i for i in range(n) if not (m >> i) & 1))
-                 for m in range(1 << n))
+def input_sums(g, n: int):
+    """Entry m adds the g[i] of the inputs at 1 in m in ascending order of
+    i; entry 2^n - 1 - m sums the inputs at 0.  Input i doubles the table:
+    sums[m | 1 << i] = sums[m] + g[i] for m < 2^i.  g is a list, or an
+    array of one row per trial, giving [trials, 2^n]."""
+    if isinstance(g, np.ndarray):
+        sums = np.zeros((len(g), 1))
+        for i in range(n):
+            sums = np.concatenate((sums, sums + g[:, i:i + 1]), axis=1)
+        return sums
+    sums = [0.0]
+    for i in range(n):
+        gi = g[i]
+        sums += [s + gi for s in sums]
+    return sums
 
 
-def respond(g, minterm: int, margin: float = 0.0, kmult: float = 1.0):
+def respond(g, sums, minterm: int, margin: float = 0.0, kmult: float = 1.0):
     """(y, metastable, G_L, G_R) of one minterm from branch conductances g
-    (inputs, then left and right side devices), adding inputs in ascending
-    order, then the side device, then scaling by k_mult."""
+    (inputs, then left and right side devices) and their input_sums: the
+    side device is added to each input sum, then both scale by k_mult."""
     n = len(g) - 2
-    ones, zeros = _split(n)[minterm]
-    g_left = g_right = 0.0
-    for i in ones:
-        g_left += g[i]
-    for i in zeros:
-        g_right += g[i]
-    g_left = (g_left + g[n]) * kmult
-    g_right = (g_right + g[n + 1]) * kmult
+    g_left = (sums[minterm] + g[n]) * kmult
+    g_right = (sums[-1 - minterm] + g[n + 1]) * kmult
     gap = g_left - g_right
     return (1 if gap > margin else 0, abs(gap - margin) < METASTABLE_EPS,
             g_left, g_right)
@@ -325,7 +332,8 @@ def evaluate(
     if not 0 <= minterm < (1 << cell.n):
         raise ValueError(f"minterm {minterm} out of range for n={cell.n}")
     g, kmult = _devices(cell, sample)
-    y, metastable, g_left, g_right = respond(g, minterm, margin, kmult)
+    sums = input_sums(g, cell.n)
+    y, metastable, g_left, g_right = respond(g, sums, minterm, margin, kmult)
     gap = g_left - g_right
     return EvalResult(y, g_left, g_right, gap, sense_delay(gap), metastable)
 
@@ -338,13 +346,10 @@ def conductances(cell: FtlCell, sample: VariationSample | None = None):
     g, kmult = _devices(cell, sample)
     n = cell.n
     g, kmult = np.array(g).reshape(n + 2, -1).T, np.array(kmult).reshape(-1)
-    inputs = np.zeros((len(g), 1 << n))  # summed inputs at 1, per minterm
-    for i in range(n):
-        on = ((np.arange(1 << n) >> i) & 1).astype(bool)
-        inputs += np.where(on, g[:, i:i + 1], 0.0)
+    sums = input_sums(g, n)
     # The inputs at 0 in m are the inputs at 1 in its complement, 2^n-1-m.
-    return ((inputs + g[:, n:n + 1]) * kmult[:, None],
-            (inputs[:, ::-1] + g[:, n + 1:]) * kmult[:, None])
+    return ((sums + g[:, n:n + 1]) * kmult[:, None],
+            (sums[:, ::-1] + g[:, n + 1:]) * kmult[:, None])
 
 
 def minterm_checks(cell: FtlCell, tt: TruthTable,
@@ -358,7 +363,10 @@ def minterm_checks(cell: FtlCell, tt: TruthTable,
     handicap = np.where(want, margin, -margin)
     miss = (gap > handicap) != want
     miss |= np.abs(gap - handicap) < METASTABLE_EPS
-    return miss, [sense_delay(float(g)) for g in np.abs(gap).min(axis=1)]
+    mag = np.abs(gap).min(axis=1)
+    with np.errstate(divide="ignore"):  # sense_delay of each trial's worst gap
+        delay = np.where(mag < METASTABLE_EPS, math.inf, TAU0 + TAU1 / mag)
+    return miss, delay.tolist()
 
 
 def verify_cell(cell: FtlCell, tt: TruthTable, margin: float = 0.0) -> bool:

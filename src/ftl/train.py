@@ -14,7 +14,9 @@ five inputs) and the loop then cycles forever.
 Correctness flows solely through the device-model oracle; the weight
 vector of the target function is never consulted during updates.  Branch
 conductances are built once per cell state (an update recomputes the ones
-it moves) and `device.respond` decides each minterm exactly as `evaluate`.
+it moves); their `device.input_sums` table is kept until an input device
+moves.  Each minterm's gap is read from it with `respond`'s arithmetic and
+tests, so every decision is `evaluate`'s.
 
 Every attempt stops for one of three reasons, reported as
 TrainResult.stop_reason:
@@ -37,8 +39,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .device import (DeviceParams, FtlCell, branch_conductance, respond,
-                     verify_cell)
+from .device import (METASTABLE_EPS, DeviceParams, FtlCell,
+                     branch_conductance, input_sums, verify_cell)
 from .truthtable import TruthTable
 
 
@@ -140,6 +142,8 @@ def _train_from(
 
     wants = tt.values()
     margins = [h if want else -h for want in wants]
+    ones = [[i for i in range(n) if m >> i & 1] for m in range(1 << n)]
+    sums = None  # input_sums(g, n) while no input device has moved
     while True:
         state = tuple(v)
         if state in seen:
@@ -147,15 +151,18 @@ def _train_from(
         seen.add(state)
         epochs += 1
         before = iterations
-        for m, want in enumerate(wants):
-            y, metastable, _, _ = respond(g, m, margins[m])
-            if y == want and not metastable:
+        for m, (want, margin) in enumerate(zip(wants, margins)):
+            if sums is None:
+                sums = input_sums(g, n)
+            gap = (sums[m] + g[n]) - (sums[-1 - m] + g[n + 1])
+            if ((gap > margin) == want
+                    and not abs(gap - margin) < METASTABLE_EPS):
                 continue
             iterations += 1
             step = _step_down if want else _step_up
-            for i in range(n):
-                if (m >> i) & 1:
-                    move(i, step, m, "eq2")
+            for i in ones[m]:
+                if move(i, step, m, "eq2"):
+                    sums = None
             # Bias: weaken the side device that opposes want or, once it
             # clamps, strengthen the other one.
             up, down = (n + 1, n) if want else (n, n + 1)

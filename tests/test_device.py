@@ -9,8 +9,8 @@ import pytest
 from ftl.device import (C_EFF, CLOCK_FREQ, DUTY, SWITCHING_ACTIVITY,
                         DeviceParams, FtlCell, VariationSample, _pcg64_seeds,
                         branch_conductance, conductances, evaluate,
-                        model_power, respond, sample_variation, verify_cell,
-                        worst_case_delay)
+                        input_sums, model_power, respond, sample_variation,
+                        verify_cell, worst_case_delay)
 from ftl.threshold import f115_table
 from ftl.train import train
 from ftl.truthtable import TruthTable, parse_truth_table
@@ -200,42 +200,84 @@ def _reference_pair(cell, m, sample):
     return g_left * sample.k_mult, g_right * sample.k_mult
 
 
+def _ascending(g, m, bit):
+    """The sum of the g[i] with bit i of m equal to bit, added in
+    ascending order of i from 0.0."""
+    total = 0.0
+    for i, gi in enumerate(g):
+        if (m >> i) & 1 == bit:
+            total += gi
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_input_sums_equal_ascending_loop(n):
+    """Entry m of the doubled table is the ascending sum of the inputs at
+    1 in m, and entry 2^n - 1 - m that of the inputs at 0, bit for bit,
+    as a list and as a block of rows.  conductances is held to the same
+    loop by test_conductances_equal_evaluate_bit_for_bit."""
+    rng = np.random.default_rng(200 + n)
+    full = (1 << n) - 1
+    for c in range(10):
+        g = rng.uniform(0.0, 1.2, (4, n)) * 10.0 ** rng.integers(-3, 1, n)
+        block = input_sums(g, n)
+        assert block.shape == (4, 1 << n)
+        for row, gr in zip(block, g.tolist()):
+            sums = input_sums(gr, n)
+            for m in range(1 << n):
+                assert sums[m] == row[m] == _ascending(gr, m, 1)
+                assert sums[full ^ m] == _ascending(gr, m, 0)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_conductances_equal_evaluate_bit_for_bit(n):
+    """Every cell is also checked with a side device parked at vdd, and
+    the wide draws push some inputs past cutoff (drive <= 0)."""
     rng = np.random.default_rng(n)
     p = DeviceParams()
+    zero = VariationSample((0.0,) * (n + 2))
+    cut_off = 0
     for c in range(10):
         vt = rng.uniform(p.vt_min, p.vt_max, n + 2)
-        cell = FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p)
-        samples = [None] + [sample_variation(n, 0.05, 0.03, 0.1, c, t)
-                            for t in range(5)]
-        block = sample_variation(n, 0.05, 0.03, 0.1, c, range(5))
-        g_left, g_right = map(np.vstack, zip(conductances(cell),
-                                             conductances(cell, block)))
-        assert g_left.shape == g_right.shape == (len(samples), 1 << n)
-        for row, s in enumerate(samples):
-            for m in range(1 << n):
-                r = evaluate(cell, m, sample=s)
-                ref = _reference_pair(cell, m,
-                                      s or VariationSample((0.0,) * (n + 2)))
-                assert (g_left[row, m], g_right[row, m]) == ref
-                assert (r.g_left, r.g_right) == ref
+        cells = [FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p),
+                 FtlCell(n, tuple(vt[:n]), p.vdd, vt[n + 1], p),
+                 FtlCell(n, tuple(vt[:n]), vt[n], p.vdd, p)]
+        for sigmas in ((0.05, 0.03, 0.1), (0.3, 0.3, 0.1)):
+            samples = [None] + [sample_variation(n, *sigmas, c, t)
+                                for t in range(5)]
+            block = sample_variation(n, *sigmas, c, range(5))
+            cut_off += int((block.local[:n] + block.global_shift
+                            + vt[:n, None] >= p.vgate).sum())
+            for cell in cells:
+                g_left, g_right = map(np.vstack, zip(conductances(cell),
+                                                     conductances(cell,
+                                                                  block)))
+                assert g_left.shape == g_right.shape == (len(samples), 1 << n)
+                for row, s in enumerate(samples):
+                    for m in range(1 << n):
+                        r = evaluate(cell, m, sample=s)
+                        ref = _reference_pair(cell, m, s or zero)
+                        assert (g_left[row, m], g_right[row, m]) == ref
+                        assert (r.g_left, r.g_right) == ref
+    assert cut_off > 0
 
 
 def test_respond_on_nominal_branches_equals_evaluate():
     """The trainer's path: branch conductances built once from the cell's
-    Vts, then one respond per minterm, reproduces evaluate exactly."""
+    Vts and their input sums, then one respond per minterm, reproduces
+    evaluate exactly."""
     rng = np.random.default_rng(7)
     p = DeviceParams()
     for n in range(1, 7):
         vt = rng.uniform(p.vt_min, p.vt_max, n + 2)
         cell = FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p)
         g = [branch_conductance(v, p) for v in cell.all_vt()]
+        sums = input_sums(g, n)
         for m in range(1 << n):
             for margin in (0.0, 0.01, -0.01):
                 r = evaluate(cell, m, margin)
-                assert respond(g, m, margin) == (r.y, r.metastable,
-                                                 r.g_left, r.g_right)
+                assert respond(g, sums, m, margin) == (r.y, r.metastable,
+                                                       r.g_left, r.g_right)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
