@@ -6,7 +6,9 @@ cone, found by reference counting (Mishchenko, Chatterjee and Brayton,
 "DAG-aware AIG rewriting", DAC 2006), minus one FTL cell.  The first cut in
 that order that is a threshold function replaces the cone.  Negative-unate
 leaves are absorbed into the cell as complemented inputs.  Gates still
-fanning out elsewhere are kept.
+fanning out elsewhere are kept.  A cut's dead gates lie in the whole
+fanout-free cone, so a flip-flop whose whole cone cannot pay for a cell is
+skipped before its cuts are enumerated.
 
 Equivalence checking treats an FTL cell as the paper does, an edge-
 triggered register loading a threshold function, so the mapped design is a
@@ -46,6 +48,11 @@ GATE_DELAY_PER_FANIN = 10e-12
 
 def _gate_area(gate) -> float:
     return AREA_PER_FANIN * max(1, gate.fanin)
+
+
+def _saving(nl: Netlist, dead: list[str]) -> float:
+    """The area a cell saves by replacing a flip-flop and the dead gates."""
+    return sum(_gate_area(nl.gates[g]) for g in dead) + DFF_AREA - FTL_AREA
 
 
 def _gate_delay(gate) -> float:
@@ -137,7 +144,14 @@ def map_ftl(
     catalog=None,  # list of CatalogEntry for index annotation
 ) -> MappedDesign:
     """Greedy per-flip-flop replacement; zero replacements is a valid
-    outcome.  Cuts rank by saving, then fewest leaves, then leaf names."""
+    outcome.  Cuts rank by saving, then fewest leaves, then leaf names.
+
+    A flip-flop is skipped, uncut, when its data input's whole fanout-free
+    cone, `_dead_gates` with no leaves, saves no more than a cell costs.
+    That is exact: with fewer nets to stop at, the dereference drops every
+    net at least as often, so each cut's dead set is a subset of that cone
+    and no cut saves area.  The counts it reads are the current ones: a
+    placed cell's latch and dead gates stop reading, and its leaves read."""
     if not 1 <= k <= 5:
         raise ValueError(f"k must lie in 1..5, the ftl5 fan-in; got {k}")
     # Replacement only deletes gates and latches, so fresh dicts suffice
@@ -147,23 +161,26 @@ def map_ftl(
     path_before = _worst_path(nl, [])
     removed = 0
 
-    catalog_by_table = {e.table: e.index for e in catalog or ()}
+    catalog_by_table = {(e.table.n, e.table.bits): e.index
+                        for e in catalog or ()}
+    # Every reader of a net: gate inputs, outputs, latches, placed cells'
+    # leaves; kept current as cells are placed
+    refs = Counter([*(x for g in work.gates.values() for x in g.inputs),
+                    *work.outputs, *(l.d for l in work.latches.values())])
 
     for q in sorted(nl.latches):
         latch = work.latches[q]
         if latch.d not in work.gates:
             continue  # data driven by a PI or another latch: nothing to absorb
-        # Every reader of a net: gate inputs, outputs, latches, placed cells
-        refs = Counter([*(x for g in work.gates.values() for x in g.inputs),
-                        *work.outputs, *(l.d for l in work.latches.values()),
-                        *(x for inst in instances for x in inst.leaves)])
+        # No cut saves more than the whole MFFC, the cone with no leaves
+        if _saving(work, _dead_gates(work, refs, latch.d, ())) <= 0:
+            continue
         ranked = []  # (key, cut, dead gates) of every cut that saves area
         for cut in enumerate_cuts(work, latch.d, k):
             if cut.trivial:
                 continue
             dead = _dead_gates(work, refs, latch.d, cut.leaves)
-            saving = (sum(_gate_area(work.gates[g]) for g in dead)
-                      + DFF_AREA - FTL_AREA)
+            saving = _saving(work, dead)
             if saving > 0:
                 ranked.append(((-saving, len(cut.leaves), cut.leaves), cut,
                                dead))
@@ -175,7 +192,8 @@ def map_ftl(
             continue
         cat_idx = None
         if catalog_by_table and not tt.is_constant():  # constants: no class
-            cat_idx = catalog_by_table.get(canonicalize_np(tt))
+            canon = canonicalize_np(tt)
+            cat_idx = catalog_by_table.get((canon.n, canon.bits))
         instances.append(FtlInstance(
             q=q, leaves=cut.leaves, function=tt,
             polarity_mask=sum(1 << i for i, w in enumerate(tf.weights)
@@ -183,8 +201,10 @@ def map_ftl(
             weights=tf, catalog_index=cat_idx,
         ))
         del work.latches[q]
+        refs[latch.d] -= 1
+        refs.update(cut.leaves)
         for g in removable:
-            del work.gates[g]
+            refs.subtract(work.gates.pop(g).inputs)
         removed += len(removable) + 1
 
     area_after = _total_area(work, len(instances))

@@ -166,15 +166,16 @@ def _cover_to_table(inputs: list[str], cover: list[tuple[str, str]]) -> TruthTab
     if "0" in out_vals and "1" in out_vals:
         raise NetlistError("mixed on-set/off-set cover")
     ones = (1 << (1 << n)) - 1
+    masks = [{"0": low, "1": ones ^ low, "-": ones} for low in _low_halves(n)]
     bits = 0
     for pattern, _ in cover:  # each row is the AND of its projection words
         if len(pattern) != n:
             raise NetlistError(f"cover row {pattern!r} width mismatch")
         row = ones
-        for c, low in zip(pattern, _low_halves(n)):
-            if c not in "01-":
+        for c, mask in zip(pattern, masks):
+            if c not in mask:
                 raise NetlistError(f"bad cover character {c!r}")
-            row &= {"0": low, "1": ones ^ low}.get(c, ones)
+            row &= mask[c]
         bits |= row
     return TruthTable(n, ones ^ bits if "0" in out_vals else bits)
 

@@ -1,6 +1,7 @@
 """Checks shared by the tests."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -139,6 +140,14 @@ def dead_gates_walk(nl, kept, leaves, latch):
     roots = set(kept) | set(nl.outputs) | (set(nl.gates) - live([d]))
     roots.update(l.d for q, l in nl.latches.items() if q != latch)
     return live(roots | {d}) - live(roots | set(leaves))
+
+
+def refs_of(nl, kept):
+    """Readers of every net: each gate-input occurrence, output and latch
+    data input, and each leaf in kept (the placed cells' leaves)."""
+    refs = Counter(x for g in nl.gates.values() for x in g.inputs)
+    refs.update([*nl.outputs, *(l.d for l in nl.latches.values()), *kept])
+    return refs
 
 
 def reference_map(nl, k=5, catalog=None):

@@ -16,7 +16,7 @@ from ftl.netlist import Latch, Netlist, enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, check_threshold, f115_table
 from ftl.truthtable import TruthTable
 from helpers import (dead_gates_walk, reference_cuts, reference_map,
-                     scalar_step)
+                     refs_of, scalar_step)
 
 CORPUS = "src/ftl/corpus"
 
@@ -397,11 +397,40 @@ DEEPER = """.model deeper
 .end
 """
 
+# na = !a is read by p's cone and by q's.  p's cone (!a b c d + e) alone
+# pays for a cell, whose best cut {a, b, c, d, e} keeps na for q.  q's
+# cone (!a b c d e) pays only once na's one other reader is gone: a bound
+# taken from the counts before p's cell would skip q.
+UNSHARED = """.model unshared
+.inputs a b c d e
+.outputs p q
+.names a na
+0 1
+.names na b r1
+11 1
+.names r1 c r2
+11 1
+.names r2 d r3
+11 1
+.names r3 e pd
+1- 1
+-1 1
+.latch pd p re clk 0
+.names na c s1
+11 1
+.names s1 d e s2
+111 1
+.names s2 b qd
+11 1
+.latch qd q re clk 0
+.end
+"""
+
 DESIGNS = {"reenter": REENTER, "nb_reader": reader_of("nb"),
            "t1_reader": reader_of("t1"), "twice": TWICE,
            "nb_output": open(f"{CORPUS}/f115_nandinv.blif").read().replace(
                ".outputs fq", ".outputs fq nb"),
-           "shared": SHARED, "deeper": DEEPER}
+           "shared": SHARED, "deeper": DEEPER, "unshared": UNSHARED}
 NAMES = ["fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif", *DESIGNS]
 
 
@@ -418,14 +447,6 @@ def test_cuts_equal_recursive_reference(name):
         for k in range(1, 7):
             assert enumerate_cuts(nl, latch.d, k) == reference_cuts(
                 nl, latch.d, k), (latch.q, k)
-
-
-def refs_of(nl, kept):
-    """Readers of every net: each gate-input occurrence, output and latch
-    data input, and each leaf in kept (the placed cells' leaves)."""
-    refs = Counter(x for g in nl.gates.values() for x in g.inputs)
-    refs.update([*nl.outputs, *(l.d for l in nl.latches.values()), *kept])
-    return refs
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -489,6 +510,45 @@ def test_mapper_stops_at_first_threshold_cut(catalog, monkeypatch):
     for name in names:
         map_ftl(load(f"{name}.blif"), catalog=catalog)
     assert [calls[name] for name in names] == [1, 2, 0]
+
+
+def test_mapper_enumerates_only_cones_that_pay(catalog, monkeypatch):
+    """Cuts are enumerated only for a latch whose whole fanout-free cone
+    saves more than a cell costs: f115's cone and fig2_hybrid's two do,
+    and xor_ring's one XOR2 does not."""
+    calls = Counter()
+
+    def counted(nl, root, k):
+        calls[name] += 1
+        return enumerate_cuts(nl, root, k)
+    monkeypatch.setattr(mapping, "enumerate_cuts", counted)
+    names = ("f115_nandinv", "fig2_hybrid", "xor_ring")
+    for name in names:
+        map_ftl(load(f"{name}.blif"), catalog=catalog)
+    assert [calls[name] for name in names] == [1, 2, 0]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_kept_refs_equal_a_recount_at_every_latch(catalog, monkeypatch, name):
+    """At each latch's bound, the reference counts kept across placements
+    equal a recount of the working netlist and the placed cells' leaves."""
+    placed, bounds = [], []
+
+    def cell(**fields):
+        placed.append(inst := real_cell(**fields))
+        return inst
+
+    def dead_gates(nl, refs, root, leaves):
+        if not leaves:
+            bounds.append(root)
+            assert refs == refs_of(nl, [x for i in placed for x in i.leaves])
+        return real_dead_gates(nl, refs, root, leaves)
+    real_cell, real_dead_gates = mapping.FtlInstance, mapping._dead_gates
+    monkeypatch.setattr(mapping, "FtlInstance", cell)
+    monkeypatch.setattr(mapping, "_dead_gates", dead_gates)
+    nl = design(name)
+    map_ftl(nl, catalog=catalog)
+    assert len(bounds) == sum(l.d in nl.gates for l in nl.latches.values())
 
 
 @pytest.mark.parametrize("net, replaced, removed", [("nb", 1, 7),
