@@ -286,7 +286,9 @@ def verify_equivalence(
     divergence are 0, and the bit at it is exact.  Bit cycles + m is sweep
     pattern m from reset, exact on its own, so the lowest differing bit is
     the report.  Foreign registers, PIs or outputs, or nets not driven
-    once, raise ValueError naming one, before either path runs."""
+    once, raise ValueError naming one, before either path runs; so does a
+    combinational loop, once co-simulated: a proven design cannot loop,
+    as its residual gates are the original's."""
     pis = original.inputs
     registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
     for theirs, ours in ((registers, [*original.latches]),
@@ -311,7 +313,10 @@ def verify_equivalence(
     ones = (1 << cycles) - 1 | sweep_ones << cycles
     if _corresponds(original, mapped, flat):
         return EquivalenceReport(True, ones.bit_length(), proved=True)
-    program_m = flat.program()
+    try:
+        program_m = flat.program()
+    except NetlistError as e:
+        raise ValueError(f"mapped design: {e}") from None
     stimuli = np.random.default_rng(stimuli_seed).integers(
         0, 2, size=(cycles, len(pis)))
     trajectory = [{q: l.init for q, l in flat.latches.items()}]

@@ -155,8 +155,6 @@ def all_patterns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
 
 def _cover_to_table(inputs: list[str], cover: list[tuple[str, str]]) -> TruthTable:
     n = len(inputs)
-    if n == 0:
-        raise NetlistError(".names without inputs is unsupported")
     if n > 8:
         raise NetlistError(f".names with {n} inputs exceeds the supported width")
     out_vals = {v for _, v in cover}
@@ -226,20 +224,16 @@ def parse_blif(text: str) -> Netlist:
             if len(tokens) < 2:
                 raise NetlistError(f"malformed .names: {line!r}")
             *ins, out = tokens[1:]
+            if not ins:
+                raise NetlistError(f"constant .names for {out!r} "
+                                   "unsupported in this subset")
             cover = []
             while i + 1 < len(lines) and not lines[i + 1].startswith("."):
                 i += 1
                 row = lines[i].split()
-                if len(row) == 1 and not ins:
-                    cover.append(("", row[0]))
-                elif len(row) == 2:
-                    cover.append((row[0], row[1]))
-                else:
+                if len(row) != 2:
                     raise NetlistError(f"malformed cover row {lines[i]!r}")
-            if not ins:
-                raise NetlistError(
-                    f"constant .names for {out!r} unsupported in this subset"
-                )
+                cover.append((row[0], row[1]))
             if out in nl.gates:
                 raise NetlistError(f"net {out!r} driven more than once")
             nl.gates[out] = Gate(out, list(ins), _cover_to_table(ins, cover))

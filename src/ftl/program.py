@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .device import FtlCell
 
 
 @dataclass(frozen=True)
 class ProgrammerConfig:
-    pulse_resolution: float = 0.010  # volts per pulse
+    """The programmer's pulse step, a read-only model constant."""
 
-    def __post_init__(self):
-        if self.pulse_resolution <= 0:
-            raise ValueError("pulse_resolution must be positive")
+    pulse_resolution: ClassVar[float] = 0.010  # volts per pulse
 
 
 @dataclass(frozen=True)

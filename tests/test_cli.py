@@ -276,3 +276,13 @@ def test_header_line_present_by_default(runner, tmp_path):
                              str(tmp_path)])
     assert r.exit_code == 0
     assert read(tmp_path / "catalog.csv").startswith("# ftl catalog generated")
+
+
+@pytest.mark.parametrize("rows", ["", "1\n"], ids=["no-row", "one-row"])
+def test_map_zero_input_names(runner, tmp_path, rows):
+    """A constant .names is a validation error: exit 2, naming the net."""
+    blif = tmp_path / "const.blif"
+    blif.write_text(f".model c\n.inputs a\n.outputs y\n.names y\n{rows}.end\n")
+    r = runner.invoke(main, ["map", str(blif), "--out", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "constant .names for 'y'" in r.output

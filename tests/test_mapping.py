@@ -12,7 +12,7 @@ from ftl import mapping
 from ftl.mapping import (AREA_PER_FANIN, DFF_AREA, FTL_AREA,
                          export_mapped_blif, map_ftl, verify_equivalence,
                          write_cost_csv)
-from ftl.netlist import Latch, Netlist, enumerate_cuts, parse_blif
+from ftl.netlist import Gate, Latch, Netlist, enumerate_cuts, parse_blif
 from ftl.threshold import build_catalog, check_threshold, f115_table
 from ftl.truthtable import TruthTable
 from helpers import (dead_gates_walk, reference_cuts, reference_map,
@@ -261,9 +261,10 @@ def test_proof_needs_no_simulation(catalog, monkeypatch):
 def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
     """The random phase replays both designs on the mapped design's
     register trajectory, so its registers, PIs and outputs must be the
-    original's, and every net it reads must be driven: an extra latch, a
-    foreign design, a renamed PI, a dropped output, an undriven output and
-    an undriven gate input each raise, naming the net."""
+    original's, every net it reads must be driven, and its gates must not
+    loop: an extra latch, a foreign design, a renamed PI, a dropped output,
+    an undriven output, an undriven gate input and a gate reading itself
+    each raise, naming the net."""
     nl = load("f115_nandinv.blif")
     design = map_ftl(nl, catalog=catalog)
     extra = copy.deepcopy(design)
@@ -279,10 +280,14 @@ def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
     for gate in ("co", "co_n"):
         undriven.append(copy.deepcopy(foreign))
         del undriven[-1].netlist.gates[gate]
+    loop = copy.deepcopy(foreign)
+    loop.netlist.gates["co"] = Gate("co", ["co_n", "co"],
+                                    TruthTable(2, 0b1000))
     for original, bad, net in ((nl, extra, "zq"), (nl, foreign, "gq"),
                                (nl, renamed, "a"), (hybrid, no_co, "co"),
                                (hybrid, undriven[0], "co"),
-                               (hybrid, undriven[1], "co_n")):
+                               (hybrid, undriven[1], "co_n"),
+                               (hybrid, loop, "co")):
         with pytest.raises(ValueError, match=f"'{net}'"):
             verify_equivalence(original, bad)
     assert verify_equivalence(nl, design).equivalent

@@ -267,3 +267,31 @@ def test_parse_rejects_bad_row_behind_full_row():
         with pytest.raises(NetlistError):
             parse_blif(f".model f\n.inputs a b\n.outputs y\n.names a b y\n"
                        f"-- 1\n{row}\n.end\n")
+
+
+def test_parse_continuation_and_trailing_comments():
+    """A trailing backslash joins the next line that is not blank after
+    comments are cut, across comment-only and blank lines; a `#` ends
+    every line."""
+    nl = parse_blif("""\
+.model joined  # the name
+.inputs a \\
+  b  # second input
+.outputs y
+.names a b \\
+# the output comes next
+
+  y  # after a comment-only line and a blank line
+11 1  # on-set row
+.end
+""")
+    assert (nl.model, nl.inputs, nl.outputs) == ("joined", ["a", "b"], ["y"])
+    assert nl.gates["y"].inputs == ["a", "b"]
+    assert nl.gates["y"].table == parse_truth_table("8", 2)
+
+
+@pytest.mark.parametrize("rows", ["", "1\n"], ids=["no-row", "one-row"])
+def test_parse_rejects_zero_input_names(rows):
+    """A constant .names is outside the subset, with or without a row."""
+    with pytest.raises(NetlistError, match="constant .names for 'y'"):
+        parse_blif(f".model c\n.inputs a\n.outputs y\n.names y\n{rows}.end\n")

@@ -28,8 +28,6 @@ def erased_cell(cell):
 
 def test_config_defaults():
     assert CFG.pulse_resolution == 0.010
-    with pytest.raises(ValueError):
-        ProgrammerConfig(pulse_resolution=0.0)
 
 
 def test_plan_zero_pulses_for_erased_target():

@@ -1,10 +1,12 @@
 """Modified perceptron trainer: convergence, traces, bounds, robustness."""
 
 import io
-import sys
+import types
 
 import pytest
 
+import ftl.analysis as analysis_module
+import ftl.train as train_module
 from ftl.analysis import (ROBUST_MARGIN_STEP, ROBUST_TRAIN_DELTA,
                           margin_schedule)
 from ftl.device import DeviceParams, FtlCell, evaluate, verify_cell
@@ -15,11 +17,15 @@ from ftl.train import (TraceEntry, TrainConfig, TrainingError, TrainResult,
 from ftl.truthtable import (Polarity, TruthTable, parse_truth_table,
                             to_positive_form, unateness)
 
-# ftl.train resolves to the train function in the package namespace.
-TRAIN_MODULE = sys.modules["ftl.train"]
-
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
+
+
+def test_import_binds_the_module():
+    """The package root re-exports nothing, so the train function does
+    not shadow its module."""
+    assert isinstance(train_module, types.ModuleType)
+    assert train_module.train is train
 
 
 def test_kmax_paper_point():
@@ -112,7 +118,7 @@ def test_every_attempt_stops_for_a_proven_reason(by_reference):
 
 
 def test_failed_certificate_raises(monkeypatch):
-    monkeypatch.setattr(TRAIN_MODULE, "verify_cell", lambda *args: False)
+    monkeypatch.setattr(train_module, "verify_cell", lambda *args: False)
     with pytest.raises(TrainingError):
         train(AND2)
 
@@ -199,7 +205,7 @@ def test_f115_v1_strictly_smallest():
 
 
 def test_max_iterations_override(monkeypatch):
-    monkeypatch.setattr(TRAIN_MODULE, "kmax_bound", lambda *args: 3)
+    monkeypatch.setattr(train_module, "kmax_bound", lambda *args: 3)
     result = train(f115_table())
     assert not result.converged
     assert result.iterations == 4
@@ -232,7 +238,7 @@ def _reference_train_from(cell, tt, config, side):
     branch conductances once per cell state, must match bit for bit."""
     p = cell.params
     delta = config.delta if config.delta is not None else p.delta
-    bound = TRAIN_MODULE.kmax_bound(tt.n, delta, p.vdd)
+    bound = train_module.kmax_bound(tt.n, delta, p.vdd)
     h = config.handicap_margin
     vt = list(cell.vt)
     vl, vr = cell.v_left, cell.v_right
@@ -309,9 +315,8 @@ def by_reference(monkeypatch):
     `_train_from`, under every name it is looked up by."""
     def run(fn, *args, **kwargs):
         with monkeypatch.context() as mp:
-            for module in ("ftl.train", "ftl.analysis"):
-                mp.setattr(sys.modules[module], "_train_from",
-                           _reference_train_from)
+            for module in (train_module, analysis_module):
+                mp.setattr(module, "_train_from", _reference_train_from)
             return fn(*args, **kwargs)
     return run
 
@@ -330,7 +335,7 @@ def by_reference(monkeypatch):
 def test_matches_reference_catalog(by_reference, monkeypatch, cfg, stride,
                                    bound):
     if bound is not None:  # both loops read the bound through the module
-        monkeypatch.setattr(TRAIN_MODULE, "kmax_bound", lambda *args: bound)
+        monkeypatch.setattr(train_module, "kmax_bound", lambda *args: bound)
     stops = set()
     for e in build_catalog(5)[::stride]:
         positive, _ = to_positive_form(e.table)
