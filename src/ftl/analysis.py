@@ -2,9 +2,10 @@
 supply-voltage sweeps, and single-path timing checks.  A post-fab
 timing fix is the first margin_schedule level that check_timing passes.
 
-Default variation sigmas are calibrated once so that the margin-0
-trained F115 reference cell yields well below 1.0 while the top of the
-robustness schedule clears 0.99; absolute yield figures are not a target.
+The variation sigmas SIGMA_LOCAL, SIGMA_GLOBAL and SIGMA_K are constants,
+calibrated once so that the margin-0 trained F115 reference cell yields
+well below 1.0 while the top of the robustness schedule clears 0.99;
+absolute yield figures are not a target.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from .train import TrainConfig, TrainResult, TrainingError, _train_from, train
 from .truthtable import TruthTable
 
 
+SIGMA_LOCAL = 0.020  # volts, per-device Vt shift
+SIGMA_GLOBAL = 0.012  # volts, Vt shift shared by every device of a trial
+SIGMA_K = 0.05  # log-normal spread of the conductance multiplier
+
+
 @dataclass(frozen=True)
 class McConfig:
     trials: int = 100_000
-    sigma_local: float = 0.020
-    sigma_global: float = 0.012
-    sigma_k: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -69,8 +72,8 @@ def yield_mc(cell: FtlCell, tt: TruthTable, mc: McConfig) -> YieldReport:
     rows = []
     for start in range(0, mc.trials, YIELD_BLOCK):
         trials = range(start, min(start + YIELD_BLOCK, mc.trials))
-        block = sample_variation(cell.n, mc.sigma_local, mc.sigma_global,
-                                 mc.sigma_k, mc.seed, trials)
+        block = sample_variation(cell.n, SIGMA_LOCAL, SIGMA_GLOBAL, SIGMA_K,
+                                 mc.seed, trials)
         miss, worst = minterm_checks(cell, tt, block)
         fail_counts += miss.sum(axis=0)
         rows += [(t, False, math.nan) if bad else (t, True, w)
@@ -194,8 +197,7 @@ def check_timing(dp: Datapath) -> TimingReport:
 # the same solution; 0.20 S is the largest level that still converges
 # for the F115 reference function.
 ROBUST_TRAIN_DELTA = 0.005
-ROBUST_MARGIN_STEP = 0.04
-ROBUST_MAX_MARGIN = 0.20
+ROBUST_MARGINS = (0.0, 0.04, 0.08, 0.12, 0.16, 0.20)
 
 
 @dataclass
@@ -206,18 +208,12 @@ class MarginLevel:
     delay: float
 
 
-def margin_schedule(
-    tt: TruthTable,
-    params: DeviceParams | None = None,
-    margin_step: float = ROBUST_MARGIN_STEP,
-    max_margin: float = ROBUST_MAX_MARGIN,
-) -> list[MarginLevel]:
-    """Warm-started chain of trainings at margins 0, step, ..., max_margin
+def margin_schedule(tt: TruthTable,
+                    params: DeviceParams | None = None) -> list[MarginLevel]:
+    """Warm-started chain of trainings at the margins of ROBUST_MARGINS
     with training step ROBUST_TRAIN_DELTA; stops at the last level that
     converges.  Each level's result carries the trace of its own
     training."""
-    if margin_step <= 0:
-        raise ValueError("margin_step must be positive")
     params = params or DeviceParams()
     cfg = TrainConfig(delta=ROBUST_TRAIN_DELTA, record_trace=True)
     cur = train(tt, params, cfg)
@@ -232,15 +228,13 @@ def margin_schedule(
                                   worst_case_delay(result.cell, tt)))
 
     add(0.0, cur)
-    margin = margin_step
-    while margin <= max_margin + 1e-15:
+    for margin in ROBUST_MARGINS[1:]:
         nxt = _train_from(cur.cell, tt, replace(cfg, handicap_margin=margin),
                           cur.active_side)
         if not nxt.converged:
             break
         cur = nxt
         add(margin, cur)
-        margin += margin_step
     return levels
 
 

@@ -97,9 +97,9 @@ def _resolve_function(spec: str):
     raise CliError(f"unrecognized function spec {spec!r}", EXIT_VALIDATION)
 
 
-def _device_params(vdd: float, delta: float) -> DeviceParams:
+def _device_params(vdd: float) -> DeviceParams:
     try:
-        return DeviceParams(vdd=vdd, delta=delta)
+        return DeviceParams(vdd=vdd)
     except ValueError as e:
         raise CliError(str(e), EXIT_VALIDATION)
 
@@ -109,7 +109,6 @@ out_option = click.option("--out", default=".", show_default=True,
 no_header_option = click.option("--no-header", is_flag=True,
                                 help="Suppress the timestamped header line.")
 vdd_option = click.option("--vdd", default=0.9, show_default=True)
-delta_option = click.option("--delta", default=0.02, show_default=True)
 seed_option = click.option("--seed", default=0, show_default=True,
                            type=click.IntRange(min=0))
 
@@ -140,16 +139,10 @@ def cmd_catalog(n_max, out, no_header):
 @click.argument("spec")
 @click.option("--robust", is_flag=True,
               help="Run the margin schedule and keep its top level.")
-@click.option("--margin-step", default=analysis.ROBUST_MARGIN_STEP,
-              show_default=True)
-@click.option("--max-margin", default=analysis.ROBUST_MAX_MARGIN,
-              show_default=True)
 @vdd_option
-@delta_option
 @out_option
 @no_header_option
-def cmd_train(spec, robust, margin_step, max_margin, vdd, delta, out,
-              no_header):
+def cmd_train(spec, robust, vdd, out, no_header):
     """Train a cell for a function given as hex:<digits>:<n>, cat:<index>,
     or the name f115."""
     _ensure_out(out)
@@ -161,13 +154,10 @@ def cmd_train(spec, robust, margin_step, max_margin, vdd, delta, out,
     if tf is None:
         raise CliError(f"{spec} is not a threshold function", EXIT_CONVERGENCE)
     positive, mask = to_positive_form(tt)
-    params = _device_params(vdd, delta)
+    params = _device_params(vdd)
     if robust:
         try:
-            top = analysis.margin_schedule(positive, params, margin_step,
-                                           max_margin)[-1]
-        except ValueError as e:
-            raise CliError(str(e), EXIT_VALIDATION)
+            top = analysis.margin_schedule(positive, params)[-1]
         except TrainingError as e:
             raise CliError(str(e), EXIT_CONVERGENCE)
         result, achieved = top.result, top.margin
@@ -185,8 +175,7 @@ def cmd_train(spec, robust, margin_step, max_margin, vdd, delta, out,
     text = _capture_csv(lambda fp: write_trace_csv(result.trace, fp))
     _write_text(os.path.join(out, "trace.csv"), text, not no_header, "trace")
     _write_manifest(out, {"command": "train", "spec": spec, "robust": robust,
-                          "margin_step": margin_step, "max_margin": max_margin,
-                          "vdd": vdd, "delta": delta})
+                          "vdd": vdd})
     click.echo(f"converged in {result.iterations} iterations "
                f"(margin {achieved:g}) -> {out}/cell.json")
 
@@ -274,19 +263,11 @@ EXPERIMENTS = {
 @click.argument("args", nargs=-1)
 @click.option("--trials", default=10000, show_default=True,
               type=click.IntRange(1, 2**32))
-@click.option("--sigma-local", default=analysis.McConfig.sigma_local,
-              show_default=True, type=click.FloatRange(min=0))
-@click.option("--sigma-global", default=analysis.McConfig.sigma_global,
-              show_default=True, type=click.FloatRange(min=0))
-@click.option("--sigma-k", default=analysis.McConfig.sigma_k,
-              show_default=True, type=click.FloatRange(min=0))
 @vdd_option
-@delta_option
 @seed_option
 @out_option
 @no_header_option
-def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
-                    vdd, delta, seed, out, no_header):
+def cmd_experiments(name, args, trials, vdd, seed, out, no_header):
     """Run a named experiment: iterations | yield-sweep | conductivity |
     vdd-sweep | delay-hist | timing-fix [setup|hold]."""
     if name not in EXPERIMENTS:
@@ -296,12 +277,12 @@ def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
         raise CliError(f"unexpected arguments to {name}: {' '.join(args)}",
                        EXIT_VALIDATION)
     _ensure_out(out)
-    params = _device_params(vdd, delta)
+    params = _device_params(vdd)
     scenario = args[0] if args else "setup"
     if scenario not in analysis.SCENARIOS:
         raise CliError("timing-fix takes one of "
                        f"{', '.join(analysis.SCENARIOS)}", EXIT_VALIDATION)
-    mc = analysis.McConfig(trials, sigma_local, sigma_global, sigma_k, seed)
+    mc = analysis.McConfig(trials, seed)
     try:
         tables = EXPERIMENTS[name](params, mc, scenario)
     except (TrainingError, analysis.RetuneError) as e:
@@ -311,9 +292,7 @@ def cmd_experiments(name, args, trials, sigma_local, sigma_global, sigma_k,
                     not no_header, f"experiments {name}")
     _write_manifest(out, {"command": "experiments", "name": name,
                           "args": list(args), "trials": trials,
-                          "sigma_local": sigma_local,
-                          "sigma_global": sigma_global, "sigma_k": sigma_k,
-                          "vdd": vdd, "delta": delta, "seed": seed})
+                          "vdd": vdd, "seed": seed})
     click.echo(f"{name} -> {', '.join(os.path.join(out, f) for f in tables)}")
 
 

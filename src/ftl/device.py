@@ -13,7 +13,8 @@ Branch conductance uses the alpha-power law g = max(0, Vgate - Vt)^ALPHA
 (ALPHA = 1.3; Sakurai and Newton, IEEE JSSC 1990), a stand-in for the
 saturation current of the flash device in series with a full-rail input
 switch.  All conductances are in normalized siemens (k_cond = 1).  The
-model constants are fixed; `DeviceParams` exposes them for cell.json.
+model constants and the 0.02 V Vt step are fixed; `DeviceParams` exposes
+them for cell.json.
 """
 
 from __future__ import annotations
@@ -47,21 +48,21 @@ DUTY = 0.5
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Supply, gate drive and Vt step; the model constants are read-only."""
+    """Supply and gate drive; the Vt step and the model constants are
+    read-only."""
 
     vdd: float = 0.9
     vgate: float | None = None  # defaults to vdd
-    delta: float = 0.02
+    delta: ClassVar[float] = 0.02
     k_cond: ClassVar[float] = 1.0
     alpha: ClassVar[float] = ALPHA
     tau0: ClassVar[float] = TAU0
     tau1: ClassVar[float] = TAU1
 
     def __post_init__(self):
-        if self.vdd <= 0:
-            raise ValueError("vdd must be positive")
-        if not 0 < self.delta < self.vdd / 2:
-            raise ValueError("delta must lie in (0, vdd/2)")
+        if not 2 * self.delta < self.vdd:
+            raise ValueError(f"vdd must exceed twice the Vt step "
+                             f"({2 * self.delta:g} V)")
         if self.vgate is None:
             object.__setattr__(self, "vgate", self.vdd)
         if self.vgate <= self.vdd / 2:

@@ -177,8 +177,6 @@ def map_ftl(
             continue
         ranked = []  # (key, cut, dead gates) of every cut that saves area
         for cut in enumerate_cuts(work, latch.d, k):
-            if cut.trivial:
-                continue
             dead = _dead_gates(work, refs, latch.d, cut.leaves)
             saving = _saving(work, dead)
             if saving > 0:

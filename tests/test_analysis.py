@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ftl import analysis
 from ftl.analysis import (Datapath, HIST_BINS, McConfig, RetuneError,
-                          SCENARIOS, YIELD_BLOCK, check_timing,
+                          SCENARIOS, SIGMA_GLOBAL, SIGMA_K, SIGMA_LOCAL,
+                          YIELD_BLOCK, check_timing,
                           conductivity_map, margin_schedule, run_timing_fix,
                           vdd_sweep, write_histogram_csv, write_yield_csv,
                           yield_mc)
@@ -33,11 +35,16 @@ def test_mc_config_rejects_out_of_range(kwargs):
         McConfig(**kwargs)
 
 
-def test_yield_is_one_without_variation():
+def _set_sigmas(monkeypatch, sigma_local, sigma_global, sigma_k):
+    monkeypatch.setattr(analysis, "SIGMA_LOCAL", sigma_local)
+    monkeypatch.setattr(analysis, "SIGMA_GLOBAL", sigma_global)
+    monkeypatch.setattr(analysis, "SIGMA_K", sigma_k)
+
+
+def test_yield_is_one_without_variation(monkeypatch):
+    _set_sigmas(monkeypatch, 0.0, 0.0, 0.0)
     cell = train(parse_truth_table("E8", 3)).cell
-    rep = yield_mc(cell, parse_truth_table("E8", 3),
-                   McConfig(trials=50, sigma_local=0, sigma_global=0,
-                            sigma_k=0))
+    rep = yield_mc(cell, parse_truth_table("E8", 3), McConfig(trials=50))
     assert rep.yield_fraction == 1.0
 
 
@@ -58,13 +65,16 @@ def test_yield_histogram_conserved():
     assert 0.0 <= rep.yield_fraction <= 1.0
 
 
-def _check_yield_against_evaluate(mc):
-    """yield_mc against per-trial evaluate on the reference draw."""
+def _check_yield_against_evaluate(monkeypatch, mc, sigma_local=SIGMA_LOCAL,
+                                  sigma_global=SIGMA_GLOBAL, sigma_k=SIGMA_K):
+    """yield_mc, run with these sigmas, against per-trial evaluate on the
+    reference draw."""
+    _set_sigmas(monkeypatch, sigma_local, sigma_global, sigma_k)
     cell = train(F115).cell
     rows, tally = [], {}
     for t in range(mc.trials):
-        s = reference_variation(5, mc.sigma_local, mc.sigma_global,
-                                mc.sigma_k, mc.seed, t)
+        s = reference_variation(5, sigma_local, sigma_global, sigma_k,
+                                mc.seed, t)
         results = [evaluate(cell, m, 0.0, s) for m in range(32)]
         bad = [m for m, r in enumerate(results)
                if r.metastable or r.y != F115.value(m)]
@@ -77,7 +87,7 @@ def _check_yield_against_evaluate(mc):
 
     rep = yield_mc(cell, F115, mc)
     assert passing
-    if mc.sigma_local or mc.sigma_global:  # k_mult alone flips no decision
+    if sigma_local or sigma_global:  # k_mult alone flips no decision
         assert len(passing) < mc.trials and tally
     assert rep.rows == rows
     assert rep.passing == len(passing)
@@ -86,19 +96,22 @@ def _check_yield_against_evaluate(mc):
     assert np.array_equal(rep.hist_edges, edges)
 
 
-def test_yield_matches_per_trial_evaluate():
+def test_yield_matches_per_trial_evaluate(monkeypatch):
     _check_yield_against_evaluate(
-        McConfig(trials=YIELD_BLOCK + 50, sigma_local=0.05, seed=5))
+        monkeypatch, McConfig(trials=YIELD_BLOCK + 50, seed=5),
+        sigma_local=0.05)
 
 
-@pytest.mark.parametrize("mc", [
-    McConfig(trials=300, sigma_local=0.05, sigma_global=0.0, seed=2**32),
-    McConfig(trials=300, sigma_local=0.0, sigma_global=0.05, sigma_k=0.0),
-    McConfig(trials=300, sigma_local=0.05, sigma_k=0.0, seed=1),
-    McConfig(trials=300, sigma_local=0.0, sigma_global=0.0, seed=2),
+@pytest.mark.parametrize("seed, sigmas", [
+    (2**32, dict(sigma_local=0.05, sigma_global=0.0)),
+    (0, dict(sigma_local=0.0, sigma_global=0.05, sigma_k=0.0)),
+    (1, dict(sigma_local=0.05, sigma_k=0.0)),
+    (2, dict(sigma_local=0.0, sigma_global=0.0)),
 ], ids=["l-0-k", "0-g-0", "l-g-0", "0-0-k"])
-def test_zero_sigma_layouts_match_per_trial_evaluate(mc):
-    _check_yield_against_evaluate(mc)
+def test_zero_sigma_layouts_match_per_trial_evaluate(monkeypatch, seed,
+                                                     sigmas):
+    _check_yield_against_evaluate(monkeypatch,
+                                  McConfig(trials=300, seed=seed), **sigmas)
 
 
 def test_robust_yield_beats_baseline(f115_levels):

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from ftl import analysis
 from ftl.cli import main
+from ftl.device import DeviceParams
 from ftl.mapping import map_ftl
 from ftl.netlist import parse_blif
 from ftl.threshold import build_catalog
@@ -89,11 +90,18 @@ def test_robust_flag_f115(runner, tmp_path):
     assert doc["achieved_margin"] == 0.2
 
 
-def test_robust_zero_margin_step_rejected(runner, tmp_path):
-    r = runner.invoke(main, ["train", "hex:8:2", "--robust", "--margin-step",
-                             "0", "--out", str(tmp_path)])
-    assert r.exit_code == 2
-    assert "margin_step must be positive" in r.output
+@pytest.mark.parametrize("command", [["train", "f115"],
+                                     ["experiments", "iterations"]],
+                         ids=["train", "experiments"])
+def test_too_low_vdd_names_vdd(runner, tmp_path, command):
+    """A supply below twice the Vt step is a bad --vdd: exit 2, naming vdd
+    and not the Vt step, which no flag sets."""
+    r = runner.invoke(main, [*command, "--vdd", "0.03", "--out",
+                             str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "Error: vdd must exceed" in r.output
+    assert "delta" not in r.output
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_unknown_experiment(runner, tmp_path):
@@ -143,10 +151,10 @@ def test_timing_fix_setup(runner, tmp_path):
 @pytest.mark.parametrize("name", ["yield-sweep", "conductivity", "vdd-sweep",
                                   "delay-hist", "timing-fix"])
 def test_schedule_experiments_exit_3_without_convergence(runner, tmp_path,
-                                                         name):
-    """At --delta 0.44, F115's margin-0 training ends in a cycle."""
-    r = runner.invoke(main, ["experiments", name, "--delta", "0.44", "--out",
-                             str(tmp_path)])
+                                                         monkeypatch, name):
+    """At a 0.44 V Vt step, F115's margin-0 training ends in a cycle."""
+    monkeypatch.setattr(DeviceParams, "delta", 0.44)
+    r = runner.invoke(main, ["experiments", name, "--out", str(tmp_path)])
     assert r.exit_code == 3, r.output
     assert "margin-0 training did not converge (stopped on cycle)" in r.output
     assert not (tmp_path / "manifest.json").exists()
@@ -233,11 +241,10 @@ def test_map_ftl_k_out_of_range(k, with_catalog):
         map_ftl(parse_blif(SIX_INPUT_CONE), k=k, catalog=catalog)
 
 
+# Fixed ids keep each case's name stable as cases are added or removed.
 @pytest.mark.parametrize("flag", [["--trials", "0"], ["--trials", "-5"],
-                                  ["--sigma-local", "-0.1"],
-                                  ["--sigma-global", "-0.1"],
-                                  ["--sigma-k", "-1"],
-                                  ["--trials", str(2**32 + 1)]])
+                                  ["--trials", str(2**32 + 1)]],
+                         ids=["flag0", "flag1", "flag5"])
 def test_mc_flags_out_of_range(runner, tmp_path, flag):
     r = runner.invoke(main, ["experiments", "yield-sweep", *flag, "--out",
                              str(tmp_path)])

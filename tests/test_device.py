@@ -27,8 +27,8 @@ def test_params_defaults():
 def test_params_validation():
     with pytest.raises(ValueError):
         DeviceParams(vdd=-1)
-    with pytest.raises(ValueError):
-        DeviceParams(delta=0.5)  # not < vdd/2
+    with pytest.raises(ValueError, match="vdd"):
+        DeviceParams(vdd=0.03)  # not > 2 * delta
     with pytest.raises(ValueError):
         DeviceParams(vgate=0.45)  # not > vdd/2
 

@@ -76,7 +76,7 @@ def test_program_round_trip():
 
 def test_quantized_robust_f115_still_verifies():
     tt = f115_table()
-    top = margin_schedule(tt, margin_step=0.04, max_margin=0.2)[-1]
+    top = margin_schedule(tt)[-1]
     quantized = program_cell(top.result.cell, CFG)
     assert verify_cell(quantized, tt)
 
@@ -84,7 +84,7 @@ def test_quantized_robust_f115_still_verifies():
 def test_quantized_catalog_functions_verify():
     for e in build_catalog(3):
         positive, _ = to_positive_form(e.table)
-        top = margin_schedule(positive, margin_step=0.04, max_margin=0.2)[-1]
+        top = margin_schedule(positive)[-1]
         quantized = program_cell(top.result.cell, CFG)
         assert verify_cell(quantized, positive), e.index
 

@@ -7,8 +7,7 @@ import pytest
 
 import ftl.analysis as analysis_module
 import ftl.train as train_module
-from ftl.analysis import (ROBUST_MARGIN_STEP, ROBUST_TRAIN_DELTA,
-                          margin_schedule)
+from ftl.analysis import ROBUST_TRAIN_DELTA, margin_schedule
 from ftl.device import DeviceParams, FtlCell, evaluate, verify_cell
 from ftl.threshold import build_catalog, check_threshold, f115_table
 from ftl.train import (TraceEntry, TrainConfig, TrainingError, TrainResult,
@@ -173,19 +172,10 @@ def test_handicap_margin_enforced():
             assert evaluate(result.cell, m, margin=-margin).y == 0
 
 
-def test_robust_empty_schedule_returns_baseline():
-    top = margin_schedule(AND2, margin_step=0.5, max_margin=0.1)[-1]
-    assert top.margin == 0.0
-    assert top.result.converged
-    assert verify_cell(top.result.cell, AND2)
-
-
 def test_robust_margin_grows_min_gap():
     tt = f115_table()
-    params = DeviceParams()
-    base = margin_schedule(tt, params, margin_step=1.0, max_margin=0.5)[-1]
-    robust = margin_schedule(tt, params, margin_step=0.04,
-                             max_margin=0.2)[-1]
+    levels = margin_schedule(tt, DeviceParams())
+    base, robust = levels[0], levels[-1]
     assert base.margin == 0.0 and robust.margin > 0.0
     def min_gap(cell):
         return min(abs(evaluate(cell, m).gap) for m in range(32))
@@ -350,9 +340,9 @@ def test_matches_reference_margin_schedule(by_reference):
     levels = margin_schedule(tt)
     assert len(levels) > 1
     assert levels == by_reference(margin_schedule, tt)
-    # The attempt past the top level, which the schedule discards.
+    # One margin step past the top level, which the schedule never tries.
     top = levels[-1]
     cfg = TrainConfig(delta=ROBUST_TRAIN_DELTA, record_trace=True,
-                      handicap_margin=top.margin + ROBUST_MARGIN_STEP)
+                      handicap_margin=top.margin + 0.04)
     args = (top.result.cell, tt, cfg, top.result.active_side)
     assert _train_from(*args) == _reference_train_from(*args)
