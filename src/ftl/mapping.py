@@ -15,9 +15,10 @@ triggered register loading a threshold function, so the mapped design is a
 plain netlist over the original's registers.  Equivalence from reset is
 then proved register by register, by register correspondence (van Eijk,
 "Sequential equivalence checking based on structural similarities", IEEE
-TCAD 2000).  Only a design the proof cannot close is co-simulated: random
-multi-cycle stimuli and the exhaustive single-cycle sweep share one word
-step, and name the first diverging cycle and signal.
+TCAD 2000).  Only a design the proof cannot close is co-simulated: both
+designs step together through random cycles, stopping early once the
+proof's induction covers the cycles left, then through the exhaustive
+single-cycle sweep, and the first diverging cycle and signal are named.
 """
 
 from __future__ import annotations
@@ -225,27 +226,18 @@ class EquivalenceReport:
     proved: bool = False  # by register correspondence, without simulation
 
 
-def _words(bits) -> list[int]:
-    """Column i of a [cycles, n] 0/1 matrix as one word, bit c = row c."""
-    return [int.from_bytes(col.tobytes(), "little") for col in np.packbits(
-        np.asarray(bits, np.uint8), axis=0, bitorder="little").T]
-
-
-def _corresponds(original: Netlist, mapped: MappedDesign,
-                 flat: Netlist) -> bool:
+def _corresponds(original: Netlist, mapped: MappedDesign) -> bool:
     """Register correspondence of the flattened mapped design: (a) every
     residual gate and latch is the original's; (b) each cell's function is
-    its latch's cone function of the cell's leaves in the original; (c)
-    each cell resets as its latch did.  Leaves that do not cut the cone, or
-    too many to simulate, fail the proof."""
+    its latch's cone function of the cell's leaves in the original.  Leaves
+    that do not cut the cone, or too many to simulate, fail the proof."""
     residual = mapped.netlist
     if any(original.gates.get(n) != g for n, g in residual.gates.items()):
         return False
     if any(original.latches[q] != l for q, l in residual.latches.items()):
         return False
     try:
-        return all(original.latches[i.q].init == flat.latches[i.q].init
-                   and cut_function(original, Cut(
+        return all(cut_function(original, Cut(
                        original.latches[i.q].d, i.leaves)) == i.function
                    for i in mapped.instances)
     except (KeyError, ValueError, NetlistError):
@@ -263,30 +255,26 @@ def verify_equivalence(
     Each FTL instance is a register, reset 0, loading its threshold gate,
     so both designs are netlists over the same registers.  The proof is
     register correspondence (van Eijk, IEEE TCAD 2000), `_corresponds`:
-    both designs start in the same state, and from equal states the
-    residual gates, the cells and the residual latches compute what the
-    original computes, so by induction over cycles every output and
-    register agrees on every input sequence, whatever the PI count.  A
-    proven report has proved=True and the cycles_checked the co-simulation
-    would have covered: it cannot diverge on any of them, so the report is
-    the one co-simulation gives.
+    from equal states the residual gates, the cells and the residual
+    latches compute what the original computes, so by induction over
+    cycles two designs that enter a cycle in equal states agree on every
+    output and register on every input sequence, whatever the PI count.
+    When both also reset alike, the report has proved=True and the
+    cycles_checked the co-simulation would have covered: it cannot diverge
+    on any of them, so the report is the one co-simulation gives.
 
     Otherwise the designs are co-simulated: random multi-cycle stimuli,
-    then every single-cycle PI pattern when there are at most 10 PIs, in
-    one word step per design.  Latches are compared after each step.  A
-    divergence names the first cycle, sweep pattern m counting as cycle
-    cycles + m, and within it the first signal in sorted order.  The
-    mapped design is stepped alone for its register trajectory; then bit
-    c < cycles replays cycle c: PI words from the stimuli, state words
-    from the trajectory but for bit 0, each side's own reset.  All
-    registers are watched, so by induction both designs enter cycle c in
-    the replayed state if none diverges before it: bits below the first
-    divergence are 0, and the bit at it is exact.  Bit cycles + m is sweep
-    pattern m from reset, exact on its own, so the lowest differing bit is
-    the report.  Foreign registers, PIs or outputs, or nets not driven
-    once, raise ValueError naming one, before either path runs; so does a
-    combinational loop, once co-simulated: a proven design cannot loop,
-    as its residual gates are the original's."""
+    one scalar step per design and cycle from each side's own reset, then
+    every single-cycle PI pattern from reset when there are at most 10
+    PIs, in one word step per design.  An output is compared by its value,
+    a register by its next state.  A divergence names the first cycle,
+    sweep pattern m counting as cycle cycles + m, and within it the first
+    signal in sorted order.  Once the correspondence holds and a random
+    cycle ends in equal states, the same induction covers the cycles left,
+    so the random phase stops there.  Foreign registers, PIs or outputs,
+    or nets not driven once, raise ValueError naming one, before either
+    path runs; so does a combinational loop, once co-simulated: a proven
+    design cannot loop, as its residual gates are the original's."""
     pis = original.inputs
     registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
     for theirs, ours in ((registers, [*original.latches]),
@@ -308,37 +296,41 @@ def verify_equivalence(
         raise ValueError(f"mapped design: {e}") from None
     sweep_ones, sweep = (all_patterns(pis) if len(pis) <= 10
                          else (0, dict.fromkeys(pis, 0)))
-    ones = (1 << cycles) - 1 | sweep_ones << cycles
-    if _corresponds(original, mapped, flat):
-        return EquivalenceReport(True, ones.bit_length(), proved=True)
+    corresponds = _corresponds(original, mapped)
+    resets = [{q: l.init for q, l in nl.latches.items()}
+              for nl in (original, flat)]
+    if corresponds and resets[0] == resets[1]:
+        return EquivalenceReport(True, cycles + sweep_ones.bit_length(),
+                                 proved=True)
     try:
         program_m = flat.program()
     except NetlistError as e:
         raise ValueError(f"mapped design: {e}") from None
+    designs = [(original, original.program()), (flat, program_m)]
+    watch = sorted(set(original.latches) | set(original.outputs))
     stimuli = np.random.default_rng(stimuli_seed).integers(
         0, 2, size=(cycles, len(pis)))
-    trajectory = [{q: l.init for q, l in flat.latches.items()}]
-    for row in stimuli[:-1].tolist():  # cycle c's state from cycle c - 1
-        trajectory.append(flat.step(dict(zip(pis, row)), trajectory[-1],
-                                    program_m)[1])
-    replayed = dict(zip(flat.latches, _words(
-        [[s[q] for q in flat.latches] for s in trajectory])))
-    replay = (1 << cycles) - 1 & ~1  # bits whose state is replayed
-    reset = ones ^ replay
-    pi_values = {x: w | sweep[x] << cycles
-                 for x, w in zip(pis, _words(stimuli))}
+    states = resets
+    for c, row in enumerate(stimuli.tolist()):
+        pi_values = dict(zip(pis, row))
+        steps = [nl.step(pi_values, state, program)
+                 for (nl, program), state in zip(designs, states)]
+        vals = [values | nxt for values, nxt in steps]
+        if diff := [s for s in watch if vals[0][s] != vals[1][s]]:
+            return EquivalenceReport(False, c + 1, (c, diff[0]))
+        states = [nxt for _, nxt in steps]
+        if corresponds and states[0] == states[1]:
+            break
     vals = []
-    for nl, program in ((original, original.program()), (flat, program_m)):
-        state = {q: replayed[q] & replay | reset * l.init
-                 for q, l in nl.latches.items()}
-        values, nxt = nl.step(pi_values, state, program, ones)
+    for nl, program in designs:
+        values, nxt = nl.step(sweep, {}, program, sweep_ones)
         vals.append(values | nxt)
-    watch = sorted(set(original.latches) | set(original.outputs))
     hit = min((((w & -w).bit_length() - 1, s) for s in watch
                if (w := vals[0][s] ^ vals[1][s])), default=None)
     if hit is None:
-        return EquivalenceReport(True, ones.bit_length())
-    return EquivalenceReport(False, hit[0] + 1, hit)
+        return EquivalenceReport(True, cycles + sweep_ones.bit_length())
+    return EquivalenceReport(False, cycles + hit[0] + 1,
+                             (cycles + hit[0], hit[1]))
 
 
 def export_mapped_blif(design: MappedDesign) -> str:

@@ -5,12 +5,11 @@ Every walk over the gates in this module is `_post_order`: the gates behind
 some roots, each after all of its inputs, stopping at given nets.
 Simulation runs `Netlist.program()`, that walk over all gates as (net,
 inputs, table bits), in `step`.  Each net value is a word with one pattern
-per bit of a mask `ones`, so one pass evaluates one pattern, all 2^n
-assignments of n sources, or a recorded run of cycles with one cycle per
-bit.  `_read` reads each gate's inputs from the net values, for one pattern
-or a word.  `enumerate_cuts` merges fan-in cuts along the walk of a root's
-cone, and `cut_function` runs the walk from a cut's root, stopped at its
-leaves, over every leaf pattern at once.
+per bit of a mask `ones`, so one pass evaluates one pattern or all 2^n
+assignments of n sources.  `_read` reads each gate's inputs from the net
+values, for one pattern or a word.  `enumerate_cuts` merges fan-in cuts
+along the walk of a root's cone, and `cut_function` runs the walk from a
+cut's root, stopped at its leaves, over every leaf pattern at once.
 
 Supported BLIF directives: .model, .inputs, .outputs, .names (single
 output cover), .latch (D flip-flop), .end.
@@ -93,8 +92,8 @@ class Netlist:
              ) -> tuple[dict[str, int], dict[str, int]]:
         """One clock cycle of this netlist's `program()`: returns (net
         values, next latch state).  Each value is a word with one pattern
-        per bit of `ones`, such as one cycle per bit when the latch states
-        are a recorded trajectory; a latch absent from state reads init."""
+        per bit of `ones`, such as every PI assignment at once; a latch
+        absent from state reads init in every pattern."""
         values = dict(pi_values)
         for q, l in self.latches.items():
             values[q] = state.get(q, l.init * ones)
@@ -213,6 +212,8 @@ def parse_blif(text: str) -> Netlist:
             if len(rest) >= 2 and rest[0] in ("fe", "re", "ah", "al", "as"):
                 clock = rest[1]
                 rest = rest[2:]
+            if len(rest) > 1:
+                raise NetlistError(f"malformed .latch: {line!r}")
             if rest:
                 if rest[0] not in ("0", "1", "2", "3"):
                     raise NetlistError(f"bad latch init {rest[0]!r}")
@@ -272,15 +273,11 @@ class Cut:
     root: str
     leaves: tuple[str, ...]  # sorted
 
-    @property
-    def trivial(self) -> bool:
-        return self.leaves == (self.root,)
-
 
 def enumerate_cuts(nl: Netlist, root: str, k: int = 5) -> list[Cut]:
     """All k-feasible cuts of root, merged bottom-up over its cone in
-    topological order with dominated-cut pruning; includes the trivial
-    cut {root}."""
+    topological order with dominated-cut pruning, in (size, sorted leaves)
+    order; includes the trivial cut {root}."""
     if k > 6:
         raise ValueError("cut width limited to k <= 6")
     cuts: dict[str, list[frozenset[str]]] = {}
@@ -297,10 +294,8 @@ def enumerate_cuts(nl: Netlist, root: str, k: int = 5) -> list[Cut]:
             if not any(p <= c for p in pruned):
                 pruned.append(c)
         cuts[net] = pruned
-    out = [Cut(root, tuple(sorted(leaves)))
-           for leaves in cuts.get(root, [frozenset([root])])]
-    out.sort(key=lambda c: (len(c.leaves), c.leaves))
-    return out
+    return [Cut(root, tuple(sorted(leaves)))
+            for leaves in cuts.get(root, [frozenset([root])])]
 
 
 def cut_function(nl: Netlist, cut: Cut) -> TruthTable:

@@ -165,7 +165,7 @@ def reference_map(nl, k=5, catalog=None):
         kept = {leaf for inst in instances for leaf in inst.leaves}
         best = None
         for cut in enumerate_cuts(work, work.latches[q].d, k):
-            if cut.trivial:
+            if cut.leaves == (cut.root,):
                 continue
             tt = cut_function(work, cut)
             tf = check_threshold(tt)

@@ -194,6 +194,18 @@ def test_map_malformed_blif(runner, tmp_path):
     assert r.exit_code == 2
 
 
+def test_map_latch_with_tokens_past_the_init(runner, tmp_path):
+    """A .latch line ends at its init: a token after it exits 2, where it
+    used to map with the token ignored."""
+    text = open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+        ".latch f fq re clk 0", ".latch f fq re clk 1 extra")
+    bad = tmp_path / "bad.blif"
+    bad.write_text(text)
+    r = runner.invoke(main, ["map", str(bad), "--out", str(tmp_path)])
+    assert r.exit_code == 2
+    assert "malformed .latch" in r.output
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n", "# no netlist here\n"])
 def test_map_blif_without_directives(runner, tmp_path, text):
     """A file with no directive is no netlist: it exits 2, where it used

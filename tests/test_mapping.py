@@ -258,13 +258,13 @@ def test_proof_needs_no_simulation(catalog, monkeypatch):
                 report.first_divergence) == reference_report(nl, design)
 
 
-def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
-    """The random phase replays both designs on the mapped design's
-    register trajectory, so its registers, PIs and outputs must be the
-    original's, every net it reads must be driven, and its gates must not
-    loop: an extra latch, a foreign design, a renamed PI, a dropped output,
-    an undriven output, an undriven gate input and a gate reading itself
-    each raise, naming the net."""
+def test_cosimulation_rejects_registers_or_pis_not_the_originals(catalog):
+    """Co-simulation compares both designs register by register and output
+    by output, so the mapped design's registers, PIs and outputs must be
+    the original's, every net it reads must be driven, and its gates must
+    not loop: an extra latch, a foreign design, a renamed PI, a dropped
+    output, an undriven output, an undriven gate input and a gate reading
+    itself each raise, naming the net."""
     nl = load("f115_nandinv.blif")
     design = map_ftl(nl, catalog=catalog)
     extra = copy.deepcopy(design)
@@ -292,6 +292,41 @@ def test_replay_rejects_registers_or_pis_not_the_originals(catalog):
             verify_equivalence(original, bad)
     assert verify_equivalence(nl, design).equivalent
     assert verify_equivalence(hybrid, foreign).equivalent
+
+
+def test_cosimulation_stops_once_states_correspond(catalog, monkeypatch):
+    """f115_nandinv with its latch reset to 1 is kept from the proof only by
+    the resets, and its cone reads no register, so both designs are in one
+    state after cycle 0: the random phase stops there, and one scalar step
+    per design plus one sweep step per design give the reference report."""
+    calls = []
+    step = Netlist.step
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step(*args, **kwargs)
+    monkeypatch.setattr(Netlist, "step", counted)
+    nl = parse_blif(open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+        ".latch f fq re clk 0", ".latch f fq re clk 1"))
+    design = map_ftl(nl, catalog=catalog)
+    report = verify_equivalence(nl, design)
+    assert not report.proved
+    assert (report.equivalent, report.cycles_checked,
+            report.first_divergence) == reference_report(nl, design)
+    assert len(calls) == 4
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_residual_reset_difference_diverges_at_cycle_0(catalog):
+    """xor_ring maps to itself; with its latch xq, also its output, reset
+    to 1 the designs differ at cycle 0, where xq reads 1 against 0.
+    Comparing a register by its next state alone misses that."""
+    nl = load("xor_ring.blif")
+    design = copy.deepcopy(map_ftl(nl, catalog=catalog))
+    design.netlist.latches["xq"].init = 1
+    report = verify_equivalence(nl, design)
+    assert not report.equivalent
+    assert report.first_divergence == (0, "xq")
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -244,7 +244,7 @@ def test_cone_order_gives_whole_netlist_order_table():
             if latch.d not in nl.gates:
                 continue
             for cut in enumerate_cuts(nl, latch.d, k=6):
-                if cut.trivial:
+                if cut.leaves == (cut.root,):
                     continue
                 cone = cone_walk(nl, cut.root, cut.leaves)
                 bits = 0
