@@ -19,6 +19,7 @@ import numpy as np
 from .device import (
     DeviceParams,
     FtlCell,
+    _same_inputs,
     conductances,
     minterm_checks,
     model_power,
@@ -108,7 +109,8 @@ class ConductivityMap:
 
 def conductivity_map(cell: FtlCell, tt: TruthTable) -> ConductivityMap:
     """Nominal (no-variation) conductance pair of every minterm."""
-    g_left, g_right = (g[0, :tt.size] for g in conductances(cell))
+    _same_inputs(cell, tt)
+    g_left, g_right = (g[0] for g in conductances(cell))
     onset = np.array(tt.values(), dtype=bool)
     records = [ConductivityRecord(m, float(gl), float(gr), bool(on))
                for m, (gl, gr, on) in enumerate(zip(g_left, g_right, onset))]

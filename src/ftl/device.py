@@ -5,9 +5,10 @@ network sums the branch conductances of inputs at 1 plus the left side
 device, the right network sums inputs at 0 plus the right side device.
 The output is 1 when G_L wins; the sense-amp resolution time is modeled
 as TAU0 + TAU1 / |G_L - G_R|.  One kernel, `input_sums`, adds the inputs
-of every minterm in ascending order: `respond` reads one minterm from it
-for `evaluate`, the trainer keeps it until an input device moves, and
-`conductances` builds it for a block of trials.
+of every minterm in ascending order.  The nominal checks read it as a
+scalar list (`respond` for `evaluate`, `first_miss` for the trainer and
+`verify_cell`, and `worst_case_delay`); `conductances` builds it as a
+numpy block of trials, which `minterm_checks` reads for `yield_mc`.
 
 Branch conductance uses the alpha-power law g = max(0, Vgate - Vt)^ALPHA
 (ALPHA = 1.3; Sakurai and Newton, IEEE JSSC 1990), a stand-in for the
@@ -353,39 +354,61 @@ def conductances(cell: FtlCell, sample: VariationSample | None = None):
             (sums[:, ::-1] + g[:, n + 1:]) * kmult[:, None])
 
 
+def _same_inputs(cell: FtlCell, tt: TruthTable) -> None:
+    if tt.n != cell.n:
+        raise ValueError(f"truth table has {tt.n} inputs, cell has {cell.n}")
+
+
 def minterm_checks(cell: FtlCell, tt: TruthTable,
-                   sample: VariationSample | None = None,
-                   margin: float = 0.0) -> tuple[np.ndarray, list[float]]:
-    """Per trial of the sample: which minterms miss tt under evaluate's
-    margin rule or are metastable, [trials, tt.size], and the worst-case
-    delay."""
-    gap = np.subtract(*conductances(cell, sample))[:, :tt.size]
+                   sample: VariationSample) -> tuple[np.ndarray, list[float]]:
+    """Per trial of a block: which minterms miss tt or are metastable,
+    [trials, tt.size], and the worst-case delay."""
+    _same_inputs(cell, tt)
+    gap = np.subtract(*conductances(cell, sample))
     want = np.array(tt.values(), dtype=bool)
-    handicap = np.where(want, margin, -margin)
-    miss = (gap > handicap) != want
-    miss |= np.abs(gap - handicap) < METASTABLE_EPS
+    miss = ((gap > 0.0) != want) | (np.abs(gap) < METASTABLE_EPS)
     mag = np.abs(gap).min(axis=1)
     with np.errstate(divide="ignore"):  # sense_delay of each trial's worst gap
         delay = np.where(mag < METASTABLE_EPS, math.inf, TAU0 + TAU1 / mag)
     return miss, delay.tolist()
 
 
+def first_miss(g, sums, wants, margin: float, start: int = 0) -> int | None:
+    """The first minterm m >= start that misses wants[m] under a +margin
+    (on-set) or -margin (off-set) handicap, or is metastable, by respond's
+    arithmetic and tests on g and its input_sums; None if none does."""
+    side_left, side_right = g[-2], g[-1]
+    for m in range(start, len(wants)):
+        want = wants[m]
+        handicap = margin if want else -margin
+        gap = (sums[m] + side_left) - (sums[-1 - m] + side_right)
+        if (gap > handicap) != want or abs(gap - handicap) < METASTABLE_EPS:
+            return m
+    return None
+
+
 def verify_cell(cell: FtlCell, tt: TruthTable, margin: float = 0.0) -> bool:
     """Exhaustive functional check: every on-set minterm must clear the
     margin and every off-set minterm must clear it on the other side."""
-    return (tt.n == cell.n
-            and not minterm_checks(cell, tt, margin=margin)[0].any())
+    g = _devices(cell, None)[0]
+    return tt.n == cell.n and first_miss(g, input_sums(g, cell.n),
+                                         tt.values(), margin) is None
 
 
 def worst_case_delay(cell: FtlCell, tt: TruthTable) -> float:
     """Max nominal evaluate delay over all minterms (the modeled C2Q)."""
-    return minterm_checks(cell, tt)[1][0]
+    _same_inputs(cell, tt)
+    n, g = cell.n, _devices(cell, None)[0]
+    sums = input_sums(g, n)
+    return sense_delay(min(abs((s + g[n]) - (r + g[n + 1]))
+                           for s, r in zip(sums, reversed(sums))))
 
 
 def model_power(cell: FtlCell, tt: TruthTable) -> float:
     """Trend-level power: dynamic switching term plus the crowbar-style
     static term through the losing network."""
+    _same_inputs(cell, tt)
     vdd = cell.params.vdd
-    static_g = np.mean(np.minimum(*conductances(cell))[0, :tt.size])
+    static_g = np.mean(np.minimum(*conductances(cell))[0])
     dynamic = SWITCHING_ACTIVITY * CLOCK_FREQ * C_EFF * vdd ** 2
     return dynamic + vdd ** 2 * float(static_g) * DUTY

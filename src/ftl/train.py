@@ -14,9 +14,10 @@ five inputs) and the loop then cycles forever.
 Correctness flows solely through the device-model oracle; the weight
 vector of the target function is never consulted during updates.  Branch
 conductances are built once per cell state (an update recomputes the ones
-it moves); their `device.input_sums` table is kept until an input device
-moves.  Each minterm's gap is read from it with `respond`'s arithmetic and
-tests, so every decision is `evaluate`'s.
+it moves), and their `device.input_sums` table when an input device moves.
+`device.first_miss` walks each epoch on it, resuming after each miss, with
+`respond`'s arithmetic and tests, so every decision is `evaluate`'s.  The
+certificate, `verify_cell`, rebuilds both from the final cell's Vts.
 
 Every attempt stops for one of three reasons, reported as
 TrainResult.stop_reason:
@@ -39,8 +40,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .device import (METASTABLE_EPS, DeviceParams, FtlCell,
-                     branch_conductance, input_sums, verify_cell)
+from .device import (DeviceParams, FtlCell, branch_conductance, first_miss,
+                     input_sums, verify_cell)
 from .truthtable import TruthTable
 
 
@@ -141,35 +142,29 @@ def _train_from(
                            reason)
 
     wants = tt.values()
-    margins = [h if want else -h for want in wants]
     ones = [[i for i in range(n) if m >> i & 1] for m in range(1 << n)]
-    sums = None  # input_sums(g, n) while no input device has moved
+    sums = input_sums(g, n)  # rebuilt whenever an input device moves
     while True:
         state = tuple(v)
         if state in seen:
             return result(False, "cycle")
         seen.add(state)
         epochs += 1
-        before = iterations
-        for m, (want, margin) in enumerate(zip(wants, margins)):
-            if sums is None:
-                sums = input_sums(g, n)
-            gap = (sums[m] + g[n]) - (sums[-1 - m] + g[n + 1])
-            if ((gap > margin) == want
-                    and not abs(gap - margin) < METASTABLE_EPS):
-                continue
+        before, m = iterations, 0
+        while (m := first_miss(g, sums, wants, h, m)) is not None:
             iterations += 1
-            step = _step_down if want else _step_up
-            for i in ones[m]:
-                if move(i, step, m, "eq2"):
-                    sums = None
-            # Bias: weaken the side device that opposes want or, once it
-            # clamps, strengthen the other one.
-            up, down = (n + 1, n) if want else (n, n + 1)
+            step = _step_down if wants[m] else _step_up
+            moved = [move(i, step, m, "eq2") for i in ones[m]]
+            if any(moved):
+                sums = input_sums(g, n)
+            # Bias: weaken the side device that opposes the wanted output
+            # or, once it clamps, strengthen the other one.
+            up, down = (n + 1, n) if wants[m] else (n, n + 1)
             if not move(up, _step_up, m, "fallback_" + names[up]):
                 move(down, _step_down, m, "fallback_" + names[down])
             if iterations > bound:
                 return result(False, "bound")
+            m += 1  # the epoch resumes after the missed minterm
         if iterations == before:
             break
 

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftl.device import (C_EFF, CLOCK_FREQ, DUTY, SWITCHING_ACTIVITY,
-                        DeviceParams, FtlCell, VariationSample, _pcg64_seeds,
-                        branch_conductance, conductances, evaluate,
-                        input_sums, model_power, respond, sample_variation,
-                        verify_cell, worst_case_delay)
+from ftl.analysis import conductivity_map
+from ftl.device import (C_EFF, CLOCK_FREQ, DUTY, METASTABLE_EPS,
+                        SWITCHING_ACTIVITY, DeviceParams, FtlCell,
+                        VariationSample, _pcg64_seeds, branch_conductance,
+                        conductances, evaluate, first_miss, input_sums,
+                        minterm_checks, model_power, respond,
+                        sample_variation, verify_cell, worst_case_delay)
 from ftl.threshold import f115_table
 from ftl.train import train
 from ftl.truthtable import TruthTable, parse_truth_table
@@ -301,6 +303,88 @@ def test_table_checks_equal_per_minterm_evaluate(n):
             assert model_power(cell, tt) == (
                 SWITCHING_ACTIVITY * CLOCK_FREQ * C_EFF * p.vdd ** 2
                 + p.vdd ** 2 * float(static_g) * DUTY)
+
+
+def _zero_block(n, trials):
+    """A variation block whose trials shift and scale nothing."""
+    return VariationSample(np.zeros((n + 2, trials)), np.zeros(trials),
+                           np.ones(trials))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scalar_checks_equal_block_kernel(n):
+    """verify_cell, worst_case_delay and first_miss read the scalar list
+    table; minterm_checks and conductances read the numpy block.  On an
+    all-zero variation block they must agree: on random cells, with each
+    side device parked at vdd, with inputs past cutoff, and on a cell
+    whose equal devices tie some minterms exactly (gap 0, metastable).
+    At margin -METASTABLE_EPS the tied on-set minterms sit exactly on the
+    metastable window's edge, outside it."""
+    rng = np.random.default_rng(300 + n)
+    p = DeviceParams()
+    zero = _zero_block(n, 2)
+    cells = []
+    for c in range(10):
+        vt = rng.uniform(p.vt_min, p.vt_max, n + 2)
+        vt[:n][rng.random(n) < 0.25] = p.vgate + 0.05  # past cutoff
+        cells += [FtlCell(n, tuple(vt[:n]), vt[n], vt[n + 1], p),
+                  FtlCell(n, tuple(vt[:n]), p.vdd, vt[n + 1], p),
+                  FtlCell(n, tuple(vt[:n]), vt[n], p.vdd, p)]
+    # k equal inputs at 1 against n - k at 0 tie where k = n - k, or, with
+    # the right side device off, where k + 1 = n - k.
+    tie = FtlCell(n, (0.45,) * n, 0.45, p.vdd if n % 2 else 0.45, p)
+    seen = set()
+    for cell in cells + [tie]:
+        gap = np.subtract(*conductances(cell, zero))
+        assert (gap[0] == gap[1]).all()
+        gap = gap[0]
+        g = [branch_conductance(v, p) for v in cell.all_vt()]
+        sums = input_sums(g, n)
+        # Ties count as on-set: at margin -METASTABLE_EPS they clear the
+        # want test, so only the metastable test can miss them there.
+        own = TruthTable(n, sum(1 << m for m, x in enumerate(gap) if x >= 0))
+        margins = (0.0, 0.01, 0.05) + ((-METASTABLE_EPS,) if cell is tie
+                                       else ())
+        for tt in (own, TruthTable(n, own.bits ^ 1)):
+            miss, delay = minterm_checks(cell, tt, zero)
+            assert (miss[0] == miss[1]).all()
+            assert worst_case_delay(cell, tt) == delay[0] == delay[1]
+            want = np.array(tt.values(), dtype=bool)
+            for margin in margins:
+                handicap = np.where(want, margin, -margin)
+                ref = ((gap > handicap) != want) | (
+                    np.abs(gap - handicap) < METASTABLE_EPS)
+                if margin == 0.0:
+                    assert (ref == miss[0]).all()
+                ok = verify_cell(cell, tt, margin)
+                assert ok == (not ref.any())
+                seen.add((margin, ok))
+                for start in range(tt.size):
+                    later = np.flatnonzero(ref[start:])
+                    expect = start + int(later[0]) if later.size else None
+                    assert first_miss(g, sums, tt.values(), margin,
+                                      start) == expect
+    assert math.isinf(worst_case_delay(tie, own))
+    assert not verify_cell(tie, own)
+    assert (-METASTABLE_EPS, True) in seen
+    assert {(m, ok) for m in (0.0, 0.01, 0.05) for ok in (True, False)} <= seen
+    assert any(c.vt[i] > p.vgate for c in cells for i in range(n))
+
+
+@pytest.mark.parametrize("check", [
+    worst_case_delay, model_power, conductivity_map,
+    lambda cell, tt: minterm_checks(cell, tt, _zero_block(cell.n, 1))],
+    ids=["worst_case_delay", "model_power", "conductivity_map",
+         "minterm_checks"])
+def test_table_of_other_width_is_rejected(check):
+    """A 3-input table against a trained 5-input cell: every check that
+    reads the cell's minterms names both input counts, and verify_cell
+    reports the cell as not realizing the table."""
+    cell = train(f115_table()).cell
+    other = TruthTable(3, 0xE8)
+    with pytest.raises(ValueError, match="has 3 inputs, cell has 5"):
+        check(cell, other)
+    assert not verify_cell(cell, other)
 
 
 def test_metastable_minterm_fails_table_checks():
