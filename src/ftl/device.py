@@ -293,18 +293,20 @@ def sense_delay(gap: float) -> float:
     return math.inf if mag < METASTABLE_EPS else TAU0 + TAU1 / mag
 
 
-def input_sums(g, n: int):
+def input_sums(g, n: int, prefix: list[float] | None = None):
     """Entry m adds the g[i] of the inputs at 1 in m in ascending order of
     i; entry 2^n - 1 - m sums the inputs at 0.  Input i doubles the table:
     sums[m | 1 << i] = sums[m] + g[i] for m < 2^i.  g is a list, or an
-    array of one row per trial, giving [trials, 2^n]."""
+    array of one row per trial, giving [trials, 2^n].  A list prefix, the
+    first 2^k entries of a table whose inputs below k still hold, is
+    extended in place: those entries read no other input."""
     if isinstance(g, np.ndarray):
         sums = np.zeros((len(g), 1))
         for i in range(n):
             sums = np.concatenate((sums, sums + g[:, i:i + 1]), axis=1)
         return sums
-    sums = [0.0]
-    for i in range(n):
+    sums = [0.0] if prefix is None else prefix
+    for i in range(len(sums).bit_length() - 1, n):
         gi = g[i]
         sums += [s + gi for s in sums]
     return sums
@@ -376,13 +378,22 @@ def minterm_checks(cell: FtlCell, tt: TruthTable,
 def first_miss(g, sums, wants, margin: float, start: int = 0) -> int | None:
     """The first minterm m >= start that misses wants[m] under a +margin
     (on-set) or -margin (off-set) handicap, or is metastable, by respond's
-    arithmetic and tests on g and its input_sums; None if none does."""
+    arithmetic and verdicts on g and its input_sums; None if none does.
+
+    One comparison per minterm gives respond's two tests.  Under gradual
+    underflow x - y == 0 only if x == y, so d = gap - margin is 0 only at
+    gap == margin and otherwise keeps the exact difference's sign.  An
+    on-set minterm misses (gap <= margin or |d| < EPS) iff d < EPS,
+    written not d >= EPS so that a NaN margin misses, as in respond; an
+    off-set one iff gap + margin > -EPS, false for a NaN margin."""
     side_left, side_right = g[-2], g[-1]
+    top, eps, neg_eps = len(sums) - 1, METASTABLE_EPS, -METASTABLE_EPS
     for m in range(start, len(wants)):
-        want = wants[m]
-        handicap = margin if want else -margin
-        gap = (sums[m] + side_left) - (sums[-1 - m] + side_right)
-        if (gap > handicap) != want or abs(gap - handicap) < METASTABLE_EPS:
+        gap = (sums[m] + side_left) - (sums[top - m] + side_right)
+        if wants[m]:
+            if not gap - margin >= eps:
+                return m
+        elif gap + margin > neg_eps:
             return m
     return None
 

@@ -14,22 +14,13 @@ five inputs) and the loop then cycles forever.
 Correctness flows solely through the device-model oracle; the weight
 vector of the target function is never consulted during updates.  Branch
 conductances are built once per cell state (an update recomputes the ones
-it moves), and their `device.input_sums` table when an input device moves.
-`device.first_miss` walks each epoch on it, resuming after each miss, with
-`respond`'s arithmetic and tests, so every decision is `evaluate`'s.  The
+it moves), and so is their `device.input_sums` table: after an update it
+is rebuilt from the lowest moved input up, since the entries below 2^i
+read only inputs below i and stay the same floats.  `device.first_miss`
+walks each epoch on it, resuming after each miss, with `respond`'s
+arithmetic and verdicts, so every decision is `evaluate`'s.  The
 certificate, `verify_cell`, rebuilds both from the final cell's Vts.
-
-Every attempt stops for one of three reasons, reported as
-TrainResult.stop_reason:
-
-- "converged": an epoch made no update, and the cell re-verifies;
-- "cycle": an epoch starts from a (vt, v_left, v_right) state already
-  seen at an earlier epoch start.  Training is deterministic, so the
-  attempt would repeat that stretch forever and can never converge
-  (the perceptron cycling theorem, Block & Levin 1970, says this is
-  how a perceptron on non-separable data behaves);
-- "bound": the kmax iteration bound ran out.  Float steps need not land
-  on a finite grid, so this stays as a safety net.
+`train` says why every attempt stops.
 """
 
 from __future__ import annotations
@@ -57,6 +48,11 @@ class TrainConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        # A NaN Vt never repeats; under a NaN margin every attempt cycles.
+        for name in ("delta", "handicap_margin"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.delta is not None and self.delta <= 0:
             raise ValueError("delta must be positive")
 
@@ -84,7 +80,7 @@ class TrainResult:
     epochs: int
     active_side: str
     trace: list[TraceEntry] = field(default_factory=list)
-    stop_reason: str = "converged"  # "converged" | "cycle" | "bound"
+    stop_reason: str = "converged"  # "converged" | "cycle"
     attempts: list[Attempt] = field(default_factory=list)  # set by train
 
 
@@ -115,7 +111,6 @@ def _train_from(
 ) -> TrainResult:
     p, n = cell.params, tt.n
     delta = config.delta if config.delta is not None else p.delta
-    bound = kmax_bound(n, delta, p.vdd)
     lo, hi = p.vt_min, p.vt_max
     h = config.handicap_margin
     v = list(cell.all_vt())  # inputs, then the left and right side devices
@@ -143,7 +138,7 @@ def _train_from(
 
     wants = tt.values()
     ones = [[i for i in range(n) if m >> i & 1] for m in range(1 << n)]
-    sums = input_sums(g, n)  # rebuilt whenever an input device moves
+    sums = input_sums(g, n)  # rebuilt from the lowest moved input up
     while True:
         state = tuple(v)
         if state in seen:
@@ -154,16 +149,24 @@ def _train_from(
         while (m := first_miss(g, sums, wants, h, m)) is not None:
             iterations += 1
             step = _step_down if wants[m] else _step_up
-            moved = [move(i, step, m, "eq2") for i in ones[m]]
-            if any(moved):
-                sums = input_sums(g, n)
+            low = None  # the lowest input that moves
+            for i in ones[m]:  # move's steps, inline: this is the hot loop
+                old = v[i]
+                new = v[i] = step(old, delta, lo, hi)
+                if new != old:
+                    g[i] = branch_conductance(new, p)
+                    if config.record_trace:
+                        trace.append(TraceEntry(iterations, epochs, m,
+                                                names[i], old, new, "eq2"))
+                    if low is None:
+                        low = i
+            if low is not None:  # entries below 2^low read no moved input
+                sums = input_sums(g, n, sums[:1 << low])
             # Bias: weaken the side device that opposes the wanted output
             # or, once it clamps, strengthen the other one.
             up, down = (n + 1, n) if wants[m] else (n, n + 1)
             if not move(up, _step_up, m, "fallback_" + names[up]):
                 move(down, _step_down, m, "fallback_" + names[down])
-            if iterations > bound:
-                return result(False, "bound")
             m += 1  # the epoch resumes after the missed minterm
         if iterations == before:
             break
@@ -183,7 +186,25 @@ def train(
     """Train a cell to realize tt (which should be a positive-unate
     threshold function; non-threshold inputs come back unconverged).
     From each start of the ladder the right side device is tried as the
-    active one first, then the left."""
+    active one first, then the left.
+
+    Every attempt stops for one of two reasons, reported as
+    TrainResult.stop_reason:
+
+    - "converged": an epoch made no update, and the cell re-verifies;
+    - "cycle": an epoch starts from a (vt, v_left, v_right) state already
+      seen at an earlier epoch start.  Training is deterministic, so the
+      attempt would repeat that stretch forever and can never converge
+      (the perceptron cycling theorem, Block & Levin 1970, says this is
+      how a perceptron on non-separable data behaves).
+
+    One of them is always reached: TrainConfig admits only a finite
+    positive step, so each Vt stays one of the finitely many floats in a
+    bounded box ([vt_min, vt_max], or parked at vdd), and each epoch walks
+    at most 2^n minterms, so an attempt either has an epoch without an
+    update or starts one from a state it has seen.  (A NaN step would make
+    every Vt NaN, which never equals itself, so no state would repeat.)
+    kmax_bound is only reported, in iterations.csv."""
     params = params or DeviceParams()
     config = config or TrainConfig()
     # Functions whose bias must dominate the inputs (OR-like, low threshold)

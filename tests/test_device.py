@@ -232,6 +232,18 @@ def test_input_sums_equal_ascending_loop(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
+def test_input_sums_extend_a_kept_prefix(n):
+    """The trainer's rebuild: after inputs k and up move, the first 2^k
+    entries of the old list, extended, equal a full build bit for bit."""
+    rng = np.random.default_rng(400 + n)
+    for k in range(n + 1):
+        g = rng.uniform(0.0, 1.2, n).tolist()
+        old = input_sums(g, n)
+        g[k:] = rng.uniform(0.0, 1.2, n - k).tolist()
+        assert input_sums(g, n, old[:1 << k]) == input_sums(g, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_conductances_equal_evaluate_bit_for_bit(n):
     """Every cell is also checked with a side device parked at vdd, and
     the wide draws push some inputs past cutoff (drive <= 0)."""
@@ -369,6 +381,63 @@ def test_scalar_checks_equal_block_kernel(n):
     assert (-METASTABLE_EPS, True) in seen
     assert {(m, ok) for m in (0.0, 0.01, 0.05) for ok in (True, False)} <= seen
     assert any(c.vt[i] > p.vgate for c in cells for i in range(n))
+
+
+def _near(x, steps=2):
+    """x and the `steps` floats on each side of it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def test_first_miss_equals_respond_at_window_edges():
+    """first_miss's one comparison per minterm against respond's two
+    tests, where gap - handicap lands exactly on 0, -0.0 and +-EPS and on
+    the floats next to them, at margins 0, -0.0, EPS, 0.01 and NaN, on
+    the on-set and the off-set, from every start.  Each pair of
+    complementary minterms m, 2^n - 1 - m holds one gap x and its
+    negation: with the left side device at -0.0 and the right at 0.0,
+    sums[m] - sums[2^n - 1 - m] is x, -0.0 included."""
+    eps = METASTABLE_EPS
+    signed = lambda x: (x, math.copysign(1, x))  # tells -0.0 from 0.0
+    targets = [0.0, -0.0] + _near(eps) + _near(-eps) + _near(0.0)[1:]
+    handicaps = (0.0, -0.0, eps, -eps, 0.01, -0.01)
+    gaps = list({signed(x): x for h in handicaps for t in targets
+                 for x in _near(h + t)}.values())
+    n = (2 * len(gaps) - 1).bit_length()
+    top = (1 << n) - 1
+    sums = [0.0] * (1 << n)
+    for m, x in enumerate(gaps):  # m < 2^(n-1), so top - m is its own
+        if math.copysign(1, x) > 0:
+            sums[m] = x
+        else:
+            sums[m], sums[top - m] = -0.0, -x
+    g = [0.0] * n + [-0.0, 0.0]
+    for m, x in enumerate(gaps):
+        g_left, g_right = respond(g, sums, m)[2:]
+        assert signed(g_left - g_right) == signed(x)
+    rng = np.random.default_rng(0)
+    mixes = [[1] * (1 << n), [0] * (1 << n)] + [
+        rng.integers(0, 2, 1 << n).tolist() for _ in range(2)]
+    landed = set()
+    for margin in (0.0, -0.0, eps, 0.01, math.nan):
+        for wants in mixes:
+            misses = []
+            for m, want in enumerate(wants):
+                handicap = margin if want else -margin
+                y, metastable, g_left, g_right = respond(g, sums, m, handicap)
+                landed.add((want, *signed((g_left - g_right) - handicap)))
+                misses.append(y != want or metastable)
+            for start in range(len(wants) + 1):
+                expect = next((m for m in range(start, len(wants))
+                               if misses[m]), None)
+                assert first_miss(g, sums, wants, margin, start) == expect
+    # gap - handicap hits every edge exactly, on both sets.
+    assert {(want, *signed(t)) for want in (0, 1) for t in targets} <= landed
 
 
 @pytest.mark.parametrize("check", [
