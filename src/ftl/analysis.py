@@ -261,10 +261,8 @@ SCENARIOS = {
 
 @dataclass
 class TimingFix:
-    scenario: str
     before: TimingReport
     after: TimingReport
-    cell_before: FtlCell
     cell_after: FtlCell
     delay_before: float
     delay_after: float
@@ -288,8 +286,8 @@ def run_timing_fix(
     for lv in levels:
         after = check_timing(replace(dp, launch_c2q=lv.delay))
         if scenario not in after.violations:
-            return TimingFix(scenario, before, after, start.result.cell,
-                             lv.result.cell, start.delay, lv.delay)
+            return TimingFix(before, after, lv.result.cell, start.delay,
+                             lv.delay)
     raise RetuneError(f"no margin level clears the {scenario} violation",
                       levels[-1].delay)
 

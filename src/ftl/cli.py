@@ -1,10 +1,11 @@
 """Command-line entry point for catalog building, cell training, the
 robustness/yield/voltage/timing experiments, and BLIF mapping.
 
-All outputs are plain CSV next to a run manifest (the fully resolved
-configuration), so every report can be re-plotted externally.  Identical
-configuration and seed produce byte-identical CSVs; the timestamped
-header line is suppressed with --no-header.
+Every command writes plain CSV reports (so each can be re-plotted
+externally), then `manifest.json`, the fully resolved configuration, and
+`run.json`, the UTC time of the run.  Identical configuration and seed
+produce byte-identical files apart from `run.json`.  A run that fails
+before its reports exist creates no output directory.
 
 Exit codes: 0 success, 2 validation error, 3 convergence failure,
 4 I/O error.
@@ -38,38 +39,35 @@ class CliError(click.ClickException):
         self.exit_code = exit_code
 
 
-def _write_text(path: str, text: str, header: bool, label: str) -> None:
-    try:
-        with open(path, "w") as fp:
-            if header:
-                stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-                fp.write(f"# ftl {label} generated {stamp}\n")
-            fp.write(text)
-    except OSError as e:
-        raise CliError(f"cannot write {path}: {e}", EXIT_IO)
-
-
-def _write_manifest(out: str, config: dict) -> None:
-    _write_text(os.path.join(out, "manifest.json"),
-                json.dumps(config, indent=2, sort_keys=True) + "\n",
-                False, "manifest")
-
-
-def _ensure_out(out: str) -> None:
+def _emit(out: str, files: dict[str, str], config: dict) -> None:
+    """Create out and write each file, then manifest.json (the resolved
+    configuration) and run.json (when the run happened), the one file that
+    differs between runs of the same configuration."""
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    manifest = json.dumps(config, indent=2, sort_keys=True)
+    run = json.dumps({"generated": stamp}, indent=2)
+    files = {**files, "manifest.json": manifest + "\n", "run.json": run + "\n"}
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as e:
         raise CliError(f"cannot create output directory {out}: {e}", EXIT_IO)
+    for name, text in files.items():
+        path = os.path.join(out, name)
+        try:
+            with open(path, "w") as fp:
+                fp.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write {path}: {e}", EXIT_IO)
 
 
-def _capture_csv(write_fn) -> str:
+def _csv(write, *args) -> str:
     buf = io.StringIO()
-    write_fn(buf)
+    write(*args, buf)
     return buf.getvalue()
 
 
 def _rows_csv(rows) -> str:
-    return _capture_csv(lambda fp: csv.writer(fp).writerows(rows))
+    return _csv(lambda fp: csv.writer(fp).writerows(rows))
 
 
 def _resolve_function(spec: str):
@@ -106,8 +104,6 @@ def _device_params(vdd: float) -> DeviceParams:
 
 out_option = click.option("--out", default=".", show_default=True,
                           help="Output directory for CSV reports.")
-no_header_option = click.option("--no-header", is_flag=True,
-                                help="Suppress the timestamped header line.")
 vdd_option = click.option("--vdd", default=0.9, show_default=True)
 seed_option = click.option("--seed", default=0, show_default=True,
                            type=click.IntRange(min=0))
@@ -121,17 +117,14 @@ def main():
 @main.command("catalog")
 @click.option("--n-max", default=5, show_default=True)
 @out_option
-@no_header_option
-def cmd_catalog(n_max, out, no_header):
+def cmd_catalog(n_max, out):
     """Enumerate the NP-classes of threshold functions up to n-max inputs."""
-    _ensure_out(out)
     try:
         entries = threshold.build_catalog(n_max)
     except ValueError as e:
         raise CliError(str(e), EXIT_VALIDATION)
-    text = _capture_csv(lambda fp: threshold.write_catalog_csv(entries, fp))
-    _write_text(os.path.join(out, "catalog.csv"), text, not no_header, "catalog")
-    _write_manifest(out, {"command": "catalog", "n_max": n_max})
+    _emit(out, {"catalog.csv": _csv(threshold.write_catalog_csv, entries)},
+          {"command": "catalog", "n_max": n_max})
     click.echo(f"{len(entries)} catalog entries -> {out}/catalog.csv")
 
 
@@ -141,11 +134,9 @@ def cmd_catalog(n_max, out, no_header):
               help="Run the margin schedule and keep its top level.")
 @vdd_option
 @out_option
-@no_header_option
-def cmd_train(spec, robust, vdd, out, no_header):
+def cmd_train(spec, robust, vdd, out):
     """Train a cell for a function given as hex:<digits>:<n>, cat:<index>,
     or the name f115."""
-    _ensure_out(out)
     tt = _resolve_function(spec)
     try:
         tf = threshold.check_threshold(tt)
@@ -170,12 +161,9 @@ def cmd_train(spec, robust, vdd, out, no_header):
     cell_doc = json.loads(result.cell.to_json())
     cell_doc["polarity_mask"] = mask
     cell_doc["achieved_margin"] = achieved
-    _write_text(os.path.join(out, "cell.json"),
-                json.dumps(cell_doc, indent=2) + "\n", False, "cell")
-    text = _capture_csv(lambda fp: write_trace_csv(result.trace, fp))
-    _write_text(os.path.join(out, "trace.csv"), text, not no_header, "trace")
-    _write_manifest(out, {"command": "train", "spec": spec, "robust": robust,
-                          "vdd": vdd})
+    _emit(out, {"cell.json": json.dumps(cell_doc, indent=2) + "\n",
+                "trace.csv": _csv(write_trace_csv, result.trace)},
+          {"command": "train", "spec": spec, "robust": robust, "vdd": vdd})
     click.echo(f"converged in {result.iterations} iterations "
                f"(margin {achieved:g}) -> {out}/cell.json")
 
@@ -212,8 +200,8 @@ def _exp_conductivity(params, mc, scenario):
     out = {}
     for tag, lv in (("baseline", levels[0]), ("robust", levels[-1])):
         cmap = analysis.conductivity_map(lv.result.cell, tt)
-        out[f"conductivity_{tag}.csv"] = _capture_csv(
-            lambda fp: analysis.write_conductivity_csv(cmap, fp))
+        out[f"conductivity_{tag}.csv"] = _csv(
+            analysis.write_conductivity_csv, cmap)
     return out
 
 
@@ -221,16 +209,14 @@ def _exp_vdd_sweep(params, mc, scenario):
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
     points = analysis.vdd_sweep(lv.result.cell, tt)
-    return {"vdd_sweep.csv": _capture_csv(
-        lambda fp: analysis.write_sweep_csv(points, fp))}
+    return {"vdd_sweep.csv": _csv(analysis.write_sweep_csv, points)}
 
 
 def _exp_delay_hist(params, mc, scenario):
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
     rep = analysis.yield_mc(lv.result.cell, tt, mc)
-    return {"delay_hist.csv": _capture_csv(
-        lambda fp: analysis.write_histogram_csv(rep, fp))}
+    return {"delay_hist.csv": _csv(analysis.write_histogram_csv, rep)}
 
 
 def _exp_timing_fix(params, mc, scenario):
@@ -259,24 +245,20 @@ EXPERIMENTS = {
 
 
 @main.command("experiments")
-@click.argument("name")
+@click.argument("name", metavar="NAME",
+                type=click.Choice(sorted(EXPERIMENTS)))
 @click.argument("args", nargs=-1)
 @click.option("--trials", default=10000, show_default=True,
               type=click.IntRange(1, 2**32))
 @vdd_option
 @seed_option
 @out_option
-@no_header_option
-def cmd_experiments(name, args, trials, vdd, seed, out, no_header):
+def cmd_experiments(name, args, trials, vdd, seed, out):
     """Run a named experiment: iterations | yield-sweep | conductivity |
     vdd-sweep | delay-hist | timing-fix [setup|hold]."""
-    if name not in EXPERIMENTS:
-        raise CliError(f"unknown experiment {name!r}; choose from "
-                       f"{', '.join(sorted(EXPERIMENTS))}", EXIT_VALIDATION)
     if len(args) > (name == "timing-fix"):
         raise CliError(f"unexpected arguments to {name}: {' '.join(args)}",
                        EXIT_VALIDATION)
-    _ensure_out(out)
     params = _device_params(vdd)
     scenario = args[0] if args else "setup"
     if scenario not in analysis.SCENARIOS:
@@ -287,12 +269,9 @@ def cmd_experiments(name, args, trials, vdd, seed, out, no_header):
         tables = EXPERIMENTS[name](params, mc, scenario)
     except (TrainingError, analysis.RetuneError) as e:
         raise CliError(str(e), EXIT_CONVERGENCE)
-    for fname, text in tables.items():
-        _write_text(os.path.join(out, fname), text,
-                    not no_header, f"experiments {name}")
-    _write_manifest(out, {"command": "experiments", "name": name,
-                          "args": list(args), "trials": trials,
-                          "vdd": vdd, "seed": seed})
+    _emit(out, tables, {"command": "experiments", "name": name,
+                        "args": list(args), "trials": trials, "vdd": vdd,
+                        "seed": seed})
     click.echo(f"{name} -> {', '.join(os.path.join(out, f) for f in tables)}")
 
 
@@ -301,10 +280,8 @@ def cmd_experiments(name, args, trials, vdd, seed, out, no_header):
 @click.option("--k", default=5, show_default=True, type=click.IntRange(1, 5))
 @seed_option
 @out_option
-@no_header_option
-def cmd_map(blif, k, seed, out, no_header):
+def cmd_map(blif, k, seed, out):
     """Map threshold cones of a BLIF netlist onto FTL cells."""
-    _ensure_out(out)
     try:
         text = open(blif, encoding="utf-8").read()
     except OSError as e:
@@ -318,10 +295,6 @@ def cmd_map(blif, k, seed, out, no_header):
     cat = threshold.build_catalog(5)
     design = mapping.map_ftl(nl, k=k, catalog=cat)
     report = mapping.verify_equivalence(nl, design, stimuli_seed=seed)
-    _write_text(os.path.join(out, "mapped.blif"),
-                mapping.export_mapped_blif(design), False, "map")
-    cost_text = _capture_csv(lambda fp: mapping.write_cost_csv(design, fp))
-    _write_text(os.path.join(out, "cost.csv"), cost_text, not no_header, "map")
     equiv_lines = [f"equivalent: {report.equivalent}",
                    f"stimuli_checked: {report.cycles_checked}",
                    f"proved: {report.proved}"]
@@ -329,10 +302,11 @@ def cmd_map(blif, k, seed, out, no_header):
         equiv_lines.append(
             f"first_divergence: cycle {report.first_divergence[0]} "
             f"signal {report.first_divergence[1]}")
-    _write_text(os.path.join(out, "equivalence.txt"),
-                "\n".join(equiv_lines) + "\n", False, "map")
-    _write_manifest(out, {"command": "map", "blif": os.path.abspath(blif),
-                          "k": k, "seed": seed})
+    _emit(out, {"mapped.blif": mapping.export_mapped_blif(design),
+                "cost.csv": _csv(mapping.write_cost_csv, design),
+                "equivalence.txt": "\n".join(equiv_lines) + "\n"},
+          {"command": "map", "blif": os.path.abspath(blif), "k": k,
+           "seed": seed})
     status = "PASS" if report.equivalent else "FAIL"
     click.echo(f"{len(design.instances)} replacements, equivalence {status} "
                f"-> {out}/mapped.blif")

@@ -64,10 +64,12 @@ class DeviceParams:
         if not 2 * self.delta < self.vdd:
             raise ValueError(f"vdd must exceed twice the Vt step "
                              f"({2 * self.delta:g} V)")
+        _check_full_drive("vdd", self.vdd)
         if self.vgate is None:
             object.__setattr__(self, "vgate", self.vdd)
         if self.vgate <= self.vdd / 2:
             raise ValueError("vgate must exceed vdd/2")
+        _check_full_drive("vgate", self.vgate)
 
     @property
     def kappa(self) -> float:
@@ -81,6 +83,19 @@ class DeviceParams:
     @property
     def vt_max(self) -> float:
         return self.vdd - self.delta
+
+
+def _check_full_drive(name: str, volts: float) -> None:
+    """A supply or gate drive whose full-drive conductance volts ** ALPHA
+    is not a finite float (an infinite or NaN value, or one so large that
+    the power overflows) is rejected, naming the field."""
+    try:
+        finite = math.isfinite(volts ** ALPHA)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, with a finite full-drive "
+                         f"conductance {name} ** {ALPHA}")
 
 
 def branch_conductance(vt_eff: float, params: DeviceParams) -> float:

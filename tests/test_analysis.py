@@ -251,14 +251,18 @@ def test_timing_fix_matches_target_walk(monkeypatch, vdd, scenario):
 
 
 @pytest.mark.parametrize("scenario", ["setup", "hold"])
-def test_timing_fix_start_level_already_met(monkeypatch, scenario):
+def test_timing_fix_start_level_already_met(monkeypatch, f115_levels,
+                                            scenario):
+    """The walk starts at the slowest level for setup and the fastest for
+    hold; when that level already meets timing, it is the fix."""
     monkeypatch.setitem(SCENARIOS, scenario,
                         Datapath(0.0, 300e-12, 67e-12, 80e-12, 1e-9, 0.0))
     fix = run_timing_fix(F115, scenario=scenario)
+    start = f115_levels[0 if scenario == "setup" else -1]
     assert fix.before.violations == ()
     assert fix.after == fix.before
-    assert fix.cell_after == fix.cell_before
-    assert fix.delay_after == fix.delay_before
+    assert fix.cell_after == start.result.cell
+    assert fix.delay_after == fix.delay_before == start.delay
 
 
 @pytest.mark.parametrize("scenario,dp,closest", [

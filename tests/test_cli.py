@@ -26,7 +26,7 @@ def read(path):
 
 def test_catalog_n2(runner, tmp_path):
     r = runner.invoke(main, ["catalog", "--n-max", "2", "--out",
-                             str(tmp_path), "--no-header"])
+                             str(tmp_path)])
     assert r.exit_code == 0, r.output
     lines = read(tmp_path / "catalog.csv").strip().splitlines()
     assert len(lines) == 4  # header + 3 classes
@@ -35,7 +35,7 @@ def test_catalog_n2(runner, tmp_path):
 
 
 def test_catalog_n5(runner, tmp_path):
-    r = runner.invoke(main, ["catalog", "--out", str(tmp_path), "--no-header"])
+    r = runner.invoke(main, ["catalog", "--out", str(tmp_path)])
     assert r.exit_code == 0
     assert len(read(tmp_path / "catalog.csv").strip().splitlines()) == 118
 
@@ -48,8 +48,7 @@ def test_catalog_bad_path(runner, tmp_path):
 
 
 def test_train_and2(runner, tmp_path):
-    r = runner.invoke(main, ["train", "hex:8:2", "--out", str(tmp_path),
-                             "--no-header"])
+    r = runner.invoke(main, ["train", "hex:8:2", "--out", str(tmp_path)])
     assert r.exit_code == 0, r.output
     doc = json.loads(read(tmp_path / "cell.json"))
     assert doc["n"] == 2
@@ -83,25 +82,32 @@ def test_train_spec_range(runner, tmp_path, spec, code):
 
 def test_robust_flag_f115(runner, tmp_path):
     r = runner.invoke(main, ["train", "f115", "--robust", "--out",
-                             str(tmp_path), "--no-header"])
+                             str(tmp_path)])
     assert r.exit_code == 0, r.output
     doc = json.loads(read(tmp_path / "cell.json"))
     # --robust keeps the top level of the margin schedule.
     assert doc["achieved_margin"] == 0.2
 
 
-@pytest.mark.parametrize("command", [["train", "f115"],
-                                     ["experiments", "iterations"]],
-                         ids=["train", "experiments"])
-def test_too_low_vdd_names_vdd(runner, tmp_path, command):
-    """A supply below twice the Vt step is a bad --vdd: exit 2, naming vdd
-    and not the Vt step, which no flag sets."""
-    r = runner.invoke(main, [*command, "--vdd", "0.03", "--out",
-                             str(tmp_path)])
+TRAIN_F115, ITERATIONS = ["train", "f115"], ["experiments", "iterations"]
+
+
+@pytest.mark.parametrize("command, vdd", [
+    (TRAIN_F115, "0.03"), (ITERATIONS, "0.03"), (TRAIN_F115, "inf"),
+    (ITERATIONS, "inf"), (TRAIN_F115, "1e300"), (ITERATIONS, "1e300"),
+], ids=["train", "experiments", "train-inf", "experiments-inf",
+        "train-1e300", "experiments-1e300"])
+def test_too_low_vdd_names_vdd(runner, tmp_path, command, vdd):
+    """A supply below twice the Vt step, or one whose full-drive
+    conductance vdd ** ALPHA is no finite float, is a bad --vdd: exit 2,
+    naming vdd and neither the Vt step nor vgate, which no flag sets.
+    No output directory is created."""
+    out = tmp_path / "out"
+    r = runner.invoke(main, [*command, "--vdd", vdd, "--out", str(out)])
     assert r.exit_code == 2, r.output
-    assert "Error: vdd must exceed" in r.output
-    assert "delta" not in r.output
-    assert not (tmp_path / "manifest.json").exists()
+    assert "Error: vdd must" in r.output
+    assert "delta" not in r.output and "vgate" not in r.output
+    assert not out.exists()
 
 
 def test_unknown_experiment(runner, tmp_path):
@@ -131,7 +137,7 @@ def test_negative_seed_rejected(runner, tmp_path, command):
 
 def test_yield_sweep_monotone(runner, tmp_path):
     r = runner.invoke(main, ["experiments", "yield-sweep", "--trials", "500",
-                             "--out", str(tmp_path), "--no-header"])
+                             "--out", str(tmp_path)])
     assert r.exit_code == 0, r.output
     rows = read(tmp_path / "yield_sweep.csv").strip().splitlines()[1:]
     yields = [float(row.split(",")[-1]) for row in rows]
@@ -140,7 +146,7 @@ def test_yield_sweep_monotone(runner, tmp_path):
 
 def test_timing_fix_setup(runner, tmp_path):
     r = runner.invoke(main, ["experiments", "timing-fix", "setup", "--out",
-                             str(tmp_path), "--no-header"])
+                             str(tmp_path)])
     assert r.exit_code == 0, r.output
     rows = read(tmp_path / "timing_fix_setup.csv").strip().splitlines()
     before, after = rows[1].split(","), rows[2].split(",")
@@ -154,10 +160,11 @@ def test_schedule_experiments_exit_3_without_convergence(runner, tmp_path,
                                                          monkeypatch, name):
     """At a 0.44 V Vt step, F115's margin-0 training ends in a cycle."""
     monkeypatch.setattr(DeviceParams, "delta", 0.44)
-    r = runner.invoke(main, ["experiments", name, "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["experiments", name, "--out", str(out)])
     assert r.exit_code == 3, r.output
     assert "margin-0 training did not converge (stopped on cycle)" in r.output
-    assert not (tmp_path / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_unreachable_timing_fix_exits_3(runner, tmp_path, monkeypatch):
@@ -172,7 +179,7 @@ def test_unreachable_timing_fix_exits_3(runner, tmp_path, monkeypatch):
 
 def test_map_hybrid(runner, tmp_path):
     r = runner.invoke(main, ["map", f"{CORPUS}/fig2_hybrid.blif", "--out",
-                             str(tmp_path), "--no-header"])
+                             str(tmp_path)])
     assert r.exit_code == 0, r.output
     assert "2 replacements, equivalence PASS" in r.output
     assert read(tmp_path / "mapped.blif").count(".subckt ftl5") == 2
@@ -182,7 +189,7 @@ def test_map_hybrid(runner, tmp_path):
 
 def test_map_xor_ring(runner, tmp_path):
     r = runner.invoke(main, ["map", f"{CORPUS}/xor_ring.blif", "--out",
-                             str(tmp_path), "--no-header"])
+                             str(tmp_path)])
     assert r.exit_code == 0, r.output
     assert "0 replacements, equivalence PASS" in r.output
 
@@ -279,22 +286,33 @@ def test_map_missing_file(runner, tmp_path):
 
 
 def test_byte_identical_reruns(runner, tmp_path):
+    """Two runs of one configuration differ only in run.json."""
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
         r = runner.invoke(main, ["experiments", "yield-sweep", "--trials",
-                                 "300", "--seed", "7", "--out", str(out),
-                                 "--no-header"])
+                                 "300", "--seed", "7", "--out", str(out)])
         assert r.exit_code == 0
-        outs.append(read(out / "yield_sweep.csv"))
+        outs.append({f.name: read(f) for f in out.iterdir()})
+    assert sorted(outs[0]) == ["manifest.json", "run.json", "yield_sweep.csv"]
+    del outs[0]["run.json"], outs[1]["run.json"]
     assert outs[0] == outs[1]
 
 
-def test_header_line_present_by_default(runner, tmp_path):
+def test_reports_have_no_header_and_run_json_holds_the_stamp(runner,
+                                                            tmp_path):
+    """A report starts with its column row; the time of the run goes to
+    run.json, and the old --no-header flag is an unknown option."""
     r = runner.invoke(main, ["catalog", "--n-max", "2", "--out",
                              str(tmp_path)])
-    assert r.exit_code == 0
-    assert read(tmp_path / "catalog.csv").startswith("# ftl catalog generated")
+    assert r.exit_code == 0, r.output
+    assert read(tmp_path / "catalog.csv").startswith(
+        "index,n,canonical_hex,weights,threshold\n")
+    assert "generated" in json.loads(read(tmp_path / "run.json"))
+    r = runner.invoke(main, ["catalog", "--no-header", "--out",
+                             str(tmp_path / "again")])
+    assert r.exit_code == 2
+    assert "--no-header" in r.output
 
 
 @pytest.mark.parametrize("rows", ["", "1\n"], ids=["no-row", "one-row"])

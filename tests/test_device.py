@@ -33,6 +33,10 @@ def test_params_validation():
         DeviceParams(vdd=0.03)  # not > 2 * delta
     with pytest.raises(ValueError):
         DeviceParams(vgate=0.45)  # not > vdd/2
+    # vgate ** ALPHA must be a finite float: inf, NaN and an overflow fail
+    for vgate in (math.inf, math.nan, 1e300):
+        with pytest.raises(ValueError, match="^vgate must be finite"):
+            DeviceParams(vgate=vgate)
 
 
 def test_conductance_cutoff():
