@@ -39,6 +39,9 @@ TAU0 = 50e-12  # seconds, sense-amp resolution time at an infinite gap
 TAU1 = 5.145e-12  # siemens * seconds
 
 METASTABLE_EPS = 1e-12  # siemens
+# The highest supply accepted, 9x the sweep's 1.1 V: the trainer's walk grows
+# with vdd, and at 10 V the slowest class trains in 17 ms (2 vCPU, Py 3.11).
+VDD_MAX = 10.0  # volts
 
 # Power model constants (trend-level only).
 SWITCHING_ACTIVITY = 0.2
@@ -64,12 +67,19 @@ class DeviceParams:
         if not 2 * self.delta < self.vdd:
             raise ValueError(f"vdd must exceed twice the Vt step "
                              f"({2 * self.delta:g} V)")
-        _check_full_drive("vdd", self.vdd)
+        if self.vdd > VDD_MAX:
+            raise ValueError(f"vdd must not exceed {VDD_MAX:g} V")
         if self.vgate is None:
             object.__setattr__(self, "vgate", self.vdd)
         if self.vgate <= self.vdd / 2:
             raise ValueError("vgate must exceed vdd/2")
-        _check_full_drive("vgate", self.vgate)
+        try:  # an infinite, NaN or overflowing full-drive conductance
+            finite = math.isfinite(self.vgate ** ALPHA)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"vgate must be finite, with a finite full-drive "
+                             f"conductance vgate ** {ALPHA}")
 
     @property
     def kappa(self) -> float:
@@ -83,19 +93,6 @@ class DeviceParams:
     @property
     def vt_max(self) -> float:
         return self.vdd - self.delta
-
-
-def _check_full_drive(name: str, volts: float) -> None:
-    """A supply or gate drive whose full-drive conductance volts ** ALPHA
-    is not a finite float (an infinite or NaN value, or one so large that
-    the power overflows) is rejected, naming the field."""
-    try:
-        finite = math.isfinite(volts ** ALPHA)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be finite, with a finite full-drive "
-                         f"conductance {name} ** {ALPHA}")
 
 
 def branch_conductance(vt_eff: float, params: DeviceParams) -> float:

@@ -56,10 +56,6 @@ def _saving(nl: Netlist, dead: list[str]) -> float:
     return sum(_gate_area(nl.gates[g]) for g in dead) + DFF_AREA - FTL_AREA
 
 
-def _gate_delay(gate) -> float:
-    return GATE_DELAY_BASE + GATE_DELAY_PER_FANIN * gate.fanin
-
-
 @dataclass
 class FtlInstance:
     q: str  # net previously driven by the replaced flip-flop
@@ -106,22 +102,18 @@ def _dead_gates(nl: Netlist, refs: Counter, root: str,
     return dead
 
 
-def _arrival_times(nl: Netlist,
-                   instances: list[FtlInstance]) -> dict[str, float]:
-    ftl_qs = {inst.q for inst in instances}
-    arrival: dict[str, float] = {net: 0.0 for net in nl.inputs}
-    for q in nl.latches:
-        arrival[q] = DFF_C2Q
-    for q in ftl_qs:
-        arrival[q] = FTL_C2Q
-    for net in nl.topo_order():
-        g = nl.gates[net]
-        arrival[net] = max(arrival[x] for x in g.inputs) + _gate_delay(g)
-    return arrival
-
-
-def _worst_path(nl: Netlist, instances: list[FtlInstance]) -> float:
-    arrival = _arrival_times(nl, instances)
+def _worst_path(nl: Netlist, instances: list[FtlInstance],
+                order: list[str]) -> float:
+    """The longest register-to-register or input-to-output delay, with
+    arrival times read along order: a topological order of nl's gates or
+    of a netlist nl lost gates from, whose deleted gates are skipped."""
+    arrival: dict[str, float] = dict.fromkeys(nl.inputs, 0.0)
+    arrival.update(dict.fromkeys(nl.latches, DFF_C2Q))
+    arrival.update((inst.q, FTL_C2Q) for inst in instances)
+    for net in order:
+        if (g := nl.gates.get(net)) is not None:
+            arrival[net] = max(map(arrival.__getitem__, g.inputs)) + (
+                GATE_DELAY_BASE + GATE_DELAY_PER_FANIN * g.fanin)
     worst = 0.0
     for l in nl.latches.values():
         worst = max(worst, arrival[l.d] + DFF_SETUP)
@@ -159,7 +151,8 @@ def map_ftl(
     work = replace(nl, gates=dict(nl.gates), latches=dict(nl.latches))
     instances: list[FtlInstance] = []
     area_before = _total_area(nl, 0)
-    path_before = _worst_path(nl, [])
+    order = nl.topo_order()
+    path_before = _worst_path(nl, [], order)
     removed = 0
 
     catalog_by_table = {(e.table.n, e.table.bits): e.index
@@ -213,7 +206,7 @@ def map_ftl(
         cells_removed=removed,
         cells_added=len(instances),
         worst_path_before=path_before,
-        worst_path_after=_worst_path(work, instances),
+        worst_path_after=_worst_path(work, instances, order),
     )
     return MappedDesign(work, instances, summary)
 
@@ -280,8 +273,9 @@ def verify_equivalence(
     for theirs, ours in ((registers, [*original.latches]),
                          (mapped.netlist.inputs, pis),
                          (mapped.netlist.outputs, original.outputs)):
-        odd = Counter(theirs) - Counter(ours) | Counter(ours) - Counter(theirs)
-        if odd:
+        if sorted(theirs) != sorted(ours):
+            odd = (Counter(theirs) - Counter(ours)
+                   | Counter(ours) - Counter(theirs))
             raise ValueError(f"mapped registers, PIs or outputs differ from "
                              f"the original's at net {min(odd)!r}")
     # parse_blif splits on whitespace, so no parsed net is "<q> ftl"; q is

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .truthtable import TruthTable, _low_halves
 
@@ -152,6 +153,24 @@ def all_patterns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
     return ones, {x: ones ^ low for x, low in zip(names, _low_halves(len(names)))}
 
 
+@lru_cache(maxsize=None)
+def _row_mask(pattern: str) -> int:
+    """The minterms of len(pattern) inputs that a cover row covers, the
+    AND of its projection words.  A bad character raises and is not
+    cached; the reader passes rows of at most 8 inputs, so the cache holds
+    at most 3 + 9 + ... + 3^8 = 9,840 rows."""
+    ones = (1 << (1 << len(pattern))) - 1
+    row = ones
+    for c, low in zip(pattern, _low_halves(len(pattern))):
+        if c == "0":
+            row &= low
+        elif c == "1":
+            row &= ones ^ low
+        elif c != "-":
+            raise NetlistError(f"bad cover character {c!r}")
+    return row
+
+
 def _cover_to_table(inputs: list[str], cover: list[tuple[str, str]]) -> TruthTable:
     n = len(inputs)
     if n > 8:
@@ -162,18 +181,11 @@ def _cover_to_table(inputs: list[str], cover: list[tuple[str, str]]) -> TruthTab
     # BLIF covers are either all-1 (on-set given) or all-0 (off-set given).
     if "0" in out_vals and "1" in out_vals:
         raise NetlistError("mixed on-set/off-set cover")
-    ones = (1 << (1 << n)) - 1
-    masks = [{"0": low, "1": ones ^ low, "-": ones} for low in _low_halves(n)]
-    bits = 0
-    for pattern, _ in cover:  # each row is the AND of its projection words
+    ones, bits = (1 << (1 << n)) - 1, 0
+    for pattern, _ in cover:
         if len(pattern) != n:
             raise NetlistError(f"cover row {pattern!r} width mismatch")
-        row = ones
-        for c, mask in zip(pattern, masks):
-            if c not in mask:
-                raise NetlistError(f"bad cover character {c!r}")
-            row &= mask[c]
-        bits |= row
+        bits |= _row_mask(pattern)
     return TruthTable(n, ones ^ bits if "0" in out_vals else bits)
 
 
@@ -181,13 +193,12 @@ def parse_blif(text: str) -> Netlist:
     nl = Netlist()
     lines: list[str] = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not (line := raw.split("#", 1)[0].strip()):
             continue
         if lines and lines[-1].endswith("\\"):
-            lines[-1] = lines[-1][:-1] + " " + line.strip()
+            lines[-1] = lines[-1][:-1] + " " + line
         else:
-            lines.append(line.strip())
+            lines.append(line)
     if not lines:
         raise NetlistError("no BLIF directive in the text")
 
@@ -248,6 +259,14 @@ def parse_blif(text: str) -> Netlist:
     return nl
 
 
+@lru_cache(maxsize=None)
+def _cover_rows(n: int) -> tuple[str, ...]:
+    """Per minterm m of n inputs, its on-set cover row: bit i of m is
+    character i."""
+    return tuple("".join(str((m >> i) & 1) for i in range(n)) + " 1"
+                 for m in range(1 << n))
+
+
 def write_blif(nl: Netlist, extra_lines: list[str] | None = None) -> str:
     out = [f".model {nl.model or 'mapped'}"]
     out.append(".inputs " + " ".join(nl.inputs))
@@ -259,9 +278,7 @@ def write_blif(nl: Netlist, extra_lines: list[str] | None = None) -> str:
     for name in sorted(nl.gates):
         g = nl.gates[name]
         out.append(".names " + " ".join(g.inputs) + f" {g.output}")
-        for m in g.table.onset():
-            pattern = "".join(str((m >> i) & 1) for i in range(g.fanin))
-            out.append(f"{pattern} 1")
+        out.extend(map(_cover_rows(g.fanin).__getitem__, g.table.onset()))
     for line in extra_lines or []:
         out.append(line)
     out.append(".end")

@@ -25,7 +25,9 @@ found without a search.  Complementing a used positive input moves 1s to
 lower minterms, so the minimum complements every input; read from the top
 minterm down it is then the positive form read from minterm 0 up.  As
 w_i > w_j, setting x_i rather than x_j never turns f off, so swapping a
-stronger input below a weaker one lowers that sequence.
+stronger input below a weaker one lowers that sequence.  Each class of
+at most n_max inputs has one key on n_max inputs, its unused inputs last
+with weight 0, so build_catalog relabels the keys and re-detects no class.
 
 Weights never need to exceed _MAX_WEIGHT[n] = 1, 1, 2, 3, 5, 9 for
 n = 1..6 inputs, so the table ranges over [0, _MAX_WEIGHT[n]].  Two facts
@@ -189,18 +191,33 @@ class CatalogEntry:
 def build_catalog(n_max: int = 5) -> list[CatalogEntry]:
     """One entry per NP-equivalence class of non-constant threshold
     functions of at most n_max variables, with minimal weights, sorted by
-    (input count, canonical table) and indexed from 0."""
+    (input count, canonical table) and indexed from 0.
+
+    The classes are the keys (W*, T) on n_max inputs, relabelled: the k
+    nonzero weights lead, every input is complemented and the first k
+    reversed, so W* becomes -W* reversed and T drops by sum(W*).  No class
+    is re-detected; one product evaluates every realization instead."""
     if not 1 <= n_max <= 5:
         raise ValueError(f"catalog limited to 1 <= n_max <= 5, got {n_max}")
-    classes = {canonicalize_np(TruthTable(n_max, bits))
-               for bits in _sorted_tables(n_max, _MAX_WEIGHT[n_max])}
-    entries = []
-    for idx, tt in enumerate(sorted(classes, key=lambda t: (t.n, t.bits))):
-        tf = check_threshold(tt)
-        if tf is None:
+    found = []
+    for bits, (w, t) in _sorted_tables(n_max, _MAX_WEIGHT[n_max]).items():
+        k = n_max - w.count(0)
+        tt = permute_inputs(apply_complements(TruthTable(n_max, bits),
+                                              (1 << n_max) - 1),
+                            tuple(range(k - 1, -1, -1)))
+        found.append((tt, ThresholdFunction(
+            tuple(-x for x in reversed(w[:k])), t - sum(w))))
+    found.sort(key=lambda e: (e[0].n, e[0].bits))
+    # Zero weights pad each entry to n_max inputs, so its table is the low
+    # 2^n minterms of the realization's.
+    weights = np.array([f.weights + (0,) * (n_max - tt.n) for tt, f in found])
+    on = (weights @ _minterm_matrix(n_max).T
+          >= np.array([[f.threshold] for _, f in found]))
+    tables = on @ (1 << np.arange(1 << n_max, dtype=np.int64))
+    for (tt, _), bits in zip(found, tables.tolist()):
+        if bits & ((1 << tt.size) - 1) != tt.bits:
             raise RuntimeError(f"catalog table {tt} lost its realization")
-        entries.append(CatalogEntry(idx, tt.n, tt, tf))
-    return entries
+    return [CatalogEntry(i, tt.n, tt, tf) for i, (tt, tf) in enumerate(found)]
 
 
 def write_catalog_csv(entries: list[CatalogEntry], fp) -> None:

@@ -10,7 +10,8 @@ import numpy as np
 from ftl import mapping
 from ftl.device import VariationSample
 from ftl.netlist import Cut, cut_function, enumerate_cuts
-from ftl.threshold import canonicalize_np, check_threshold
+from ftl.threshold import (_MAX_WEIGHT, CatalogEntry, _sorted_tables,
+                           canonicalize_np, check_threshold)
 from ftl.truthtable import Polarity, TruthTable, unateness
 
 
@@ -190,8 +191,47 @@ def reference_map(nl, k=5, catalog=None):
         removed += len(dead) + 1
     return mapping.MappedDesign(work, instances, mapping.CostSummary(
         mapping._total_area(nl, 0), mapping._total_area(work, len(instances)),
-        removed, len(instances), mapping._worst_path(nl, []),
-        mapping._worst_path(work, instances)))
+        removed, len(instances), reference_worst_path(nl, []),
+        reference_worst_path(work, instances)))
+
+
+def reference_worst_path(nl, instances):
+    """The worst path of the mapper's delay model from arrival times by
+    memoised recursion, with no topological order: a gate arrives its
+    fan-in delay after its latest input, a cell output and a latch output
+    at their clock-to-Q, a PI at 0.  The worst path ends at a latch or cell
+    input, plus its setup, or at an output."""
+    cells = {inst.q for inst in instances}
+    memo = {}
+
+    def arrival(net):
+        if net not in memo:
+            if net in nl.gates:
+                g = nl.gates[net]
+                memo[net] = max(arrival(x) for x in g.inputs) + (
+                    mapping.GATE_DELAY_BASE
+                    + mapping.GATE_DELAY_PER_FANIN * len(g.inputs))
+            elif net in cells:
+                memo[net] = mapping.FTL_C2Q
+            else:
+                memo[net] = mapping.DFF_C2Q if net in nl.latches else 0.0
+        return memo[net]
+
+    return max([0.0, *(arrival(l.d) + mapping.DFF_SETUP
+                       for l in nl.latches.values()),
+                *(max(map(arrival, i.leaves)) + mapping.FTL_SETUP
+                  for i in instances),
+                *map(arrival, nl.outputs)])
+
+
+def reference_catalog(n_max):
+    """The catalog by detection: the NP class of every key of the n_max
+    table, then each class's realization from check_threshold, sorted by
+    (input count, table)."""
+    classes = {canonicalize_np(TruthTable(n_max, bits))
+               for bits in _sorted_tables(n_max, _MAX_WEIGHT[n_max])}
+    return [CatalogEntry(i, tt.n, tt, check_threshold(tt)) for i, tt in
+            enumerate(sorted(classes, key=lambda t: (t.n, t.bits)))]
 
 
 def permute_inputs_loop(tt, perm):

@@ -95,13 +95,14 @@ TRAIN_F115, ITERATIONS = ["train", "f115"], ["experiments", "iterations"]
 @pytest.mark.parametrize("command, vdd", [
     (TRAIN_F115, "0.03"), (ITERATIONS, "0.03"), (TRAIN_F115, "inf"),
     (ITERATIONS, "inf"), (TRAIN_F115, "1e300"), (ITERATIONS, "1e300"),
+    (TRAIN_F115, "1e10"), (ITERATIONS, "1e10"),
 ], ids=["train", "experiments", "train-inf", "experiments-inf",
-        "train-1e300", "experiments-1e300"])
+        "train-1e300", "experiments-1e300", "train-1e10", "experiments-1e10"])
 def test_too_low_vdd_names_vdd(runner, tmp_path, command, vdd):
-    """A supply below twice the Vt step, or one whose full-drive
-    conductance vdd ** ALPHA is no finite float, is a bad --vdd: exit 2,
-    naming vdd and neither the Vt step nor vgate, which no flag sets.
-    No output directory is created."""
+    """A supply below twice the Vt step or above VDD_MAX, where the
+    trainer's walk would run for minutes, is a bad --vdd: exit 2, naming
+    vdd and neither the Vt step nor vgate, which no flag sets.  No output
+    directory is created."""
     out = tmp_path / "out"
     r = runner.invoke(main, [*command, "--vdd", vdd, "--out", str(out)])
     assert r.exit_code == 2, r.output

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from ftl.netlist import (NetlistError, all_patterns, cut_function,
-                         enumerate_cuts, parse_blif, write_blif)
+from ftl import netlist
+from ftl.netlist import (Gate, Netlist, NetlistError, all_patterns,
+                         cut_function, enumerate_cuts, parse_blif, write_blif)
 from ftl.threshold import f115_table
-from ftl.truthtable import parse_truth_table
+from ftl.truthtable import TruthTable, parse_truth_table
 from helpers import cone_walk, gate_eval, scalar_step
 
 CORPUS = ("fig2_hybrid", "f115_nandinv", "xor_ring")
@@ -295,3 +296,44 @@ def test_parse_rejects_zero_input_names(rows):
     """A constant .names is outside the subset, with or without a row."""
     with pytest.raises(NetlistError, match="constant .names for 'y'"):
         parse_blif(f".model c\n.inputs a\n.outputs y\n.names y\n{rows}.end\n")
+
+
+def names(n_inputs, rows):
+    """A design of one .names gate, y, over n_inputs PIs with rows."""
+    ins = " ".join(f"x{i}" for i in range(n_inputs))
+    return (f".model c\n.inputs {ins}\n.outputs y\n.names {ins} y\n"
+            f"{rows}.end\n")
+
+
+@pytest.mark.parametrize("cached, bad, message", [
+    ("1-", (2, "1x 1\n"), "bad cover character 'x'"),
+    ("1-1", (3, "1-1 1\n1x1 1\n"), "bad cover character 'x'"),
+    ("111", (2, "111 1\n11 1\n"), "cover row '111' width mismatch"),
+    ("00", (2, "11 1\n00 0\n"), "mixed on-set/off-set cover"),
+    ("1" * 9, (9, "1" * 9 + " 1\n"), "9 inputs exceeds the supported width"),
+    ("11", (2, "11 2\n"), "unsupported cover outputs"),
+], ids=["bad-character", "bad-character-wider", "width", "mixed", "too-wide",
+        "output"])
+def test_cover_errors_after_cached_rows(cached, bad, message):
+    """Each cover error keeps its message once the same row, or a valid
+    one of the same width, is cached; a rejected row is never cached, so
+    it is rejected again."""
+    netlist._row_mask(cached)
+    size = netlist._row_mask.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NetlistError, match=message):
+            parse_blif(names(*bad))
+    assert netlist._row_mask.cache_info().currsize == size
+
+
+def test_write_blif_rows_for_every_fanin():
+    """An on-set row spells its minterm x_1 first, for fan-in 1..8 and
+    every minterm; a zero-input gate's one row is the bare output."""
+    for n in range(1, 9):
+        ins = [f"x{i}" for i in range(n)]
+        nl = Netlist(inputs=ins, outputs=["y"], gates={"y": Gate(
+            "y", ins, TruthTable(n, (1 << (1 << n)) - 1))})
+        rows = write_blif(nl).splitlines()[4:-1]
+        assert rows == [f"{m:0{n}b}"[::-1] + " 1" for m in range(1 << n)], n
+    nl = Netlist(outputs=["y"], gates={"y": Gate("y", [], TruthTable(1, 1))})
+    assert write_blif(nl).splitlines()[3:] == [".names  y", " 1", ".end"]

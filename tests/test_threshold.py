@@ -15,7 +15,8 @@ from ftl.truthtable import (Polarity, TruthTable, apply_complements,
                             chow_parameters, parse_truth_table, permute_inputs,
                             to_positive_form, unateness)
 
-from helpers import brute_canonical_np, permute_inputs_loop, realizes
+from helpers import (brute_canonical_np, permute_inputs_loop, realizes,
+                     reference_catalog)
 
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
@@ -352,10 +353,24 @@ def test_catalog_entries_survive_np_transforms():
             assert sum(abs(w) for w in tf.weights) == total, (e.index, tt)
 
 
+@pytest.mark.parametrize("n_max", range(1, 6))
+def test_catalog_equals_detection(n_max):
+    """The catalog read off the table's keys is the one detection gives:
+    every key's NP class, realized by check_threshold."""
+    assert build_catalog(n_max) == reference_catalog(n_max)
+
+
 def test_catalog_lost_realization_raises(monkeypatch):
-    monkeypatch.setattr(threshold, "check_threshold", lambda *args: None)
-    with pytest.raises(RuntimeError, match="lost its realization"):
-        build_catalog(2)
+    """Any key whose threshold no longer realizes its table fails the
+    catalog's check.  T - 1 never does, as T is the smallest that does."""
+    for n_max in range(1, 6):
+        keys = threshold._sorted_tables(n_max, threshold._MAX_WEIGHT[n_max])
+        for bits, (w, t) in list(keys.items()):
+            with monkeypatch.context() as m:
+                m.setitem(keys, bits, (w, t - 1))
+                with pytest.raises(RuntimeError,
+                                   match="lost its realization"):
+                    build_catalog(n_max)
 
 
 # -- the table lookup against a scan of every composition at the minimum sum -
