@@ -4,11 +4,11 @@ For each flip-flop, the k-feasible cuts of its data input are ranked by
 area saving: the flip-flop, plus the gates of the cut's maximum fanout-free
 cone, found by reference counting (Mishchenko, Chatterjee and Brayton,
 "DAG-aware AIG rewriting", DAC 2006), minus one FTL cell.  The first cut in
-that order that is a threshold function replaces the cone.  Negative-unate
-leaves are absorbed into the cell as complemented inputs.  Gates still
-fanning out elsewhere are kept.  A cut's dead gates lie in the whole
-fanout-free cone, so a flip-flop whose whole cone cannot pay for a cell is
-skipped before its cuts are enumerated.
+that order that check_threshold realizes replaces the cone; that answer
+names the cell's class (threshold.class_name) and feeds negative-unate
+leaves complemented.  Gates still fanning out elsewhere are kept.  A cut's
+dead gates lie in the whole fanout-free cone, so a flip-flop whose whole
+cone cannot pay for a cell is skipped before its cuts are enumerated.
 
 Equivalence checking treats an FTL cell as the paper does, an edge-
 triggered register loading a threshold function, so the mapped design is a
@@ -31,7 +31,7 @@ import numpy as np
 
 from .netlist import (Cut, Gate, Latch, Netlist, NetlistError, all_patterns,
                       cut_function, enumerate_cuts, write_blif)
-from .threshold import ThresholdFunction, canonicalize_np, check_threshold
+from .threshold import ThresholdFunction, check_threshold, class_name
 from .truthtable import TruthTable
 
 
@@ -154,9 +154,8 @@ def map_ftl(
     order = nl.topo_order()
     path_before = _worst_path(nl, [], order)
     removed = 0
+    index = {}  # class name -> catalog index, built at the first placement
 
-    catalog_by_table = {(e.table.n, e.table.bits): e.index
-                        for e in catalog or ()}
     # Every reader of a net: gate inputs, outputs, latches, placed cells'
     # leaves; kept current as cells are placed
     refs = Counter([*(x for g in work.gates.values() for x in g.inputs),
@@ -182,15 +181,14 @@ def map_ftl(
                 break
         else:
             continue
-        cat_idx = None
-        if catalog_by_table and not tt.is_constant():  # constants: no class
-            canon = canonicalize_np(tt)
-            cat_idx = catalog_by_table.get((canon.n, canon.bits))
+        name = class_name(tf)  # a constant's has no weights: no entry
+        index = index or {(e.function.weights, e.function.threshold): e.index
+                          for e in catalog or ()}
         instances.append(FtlInstance(
             q=q, leaves=cut.leaves, function=tt,
             polarity_mask=sum(1 << i for i, w in enumerate(tf.weights)
                               if w < 0),
-            weights=tf, catalog_index=cat_idx,
+            weights=tf, catalog_index=index.get((name.weights, name.threshold)),
         ))
         del work.latches[q]
         refs[latch.d] -= 1

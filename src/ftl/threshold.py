@@ -25,9 +25,9 @@ found without a search.  Complementing a used positive input moves 1s to
 lower minterms, so the minimum complements every input; read from the top
 minterm down it is then the positive form read from minterm 0 up.  As
 w_i > w_j, setting x_i rather than x_j never turns f off, so swapping a
-stronger input below a weaker one lowers that sequence.  Each class of
-at most n_max inputs has one key on n_max inputs, its unused inputs last
-with weight 0, so build_catalog relabels the keys and re-detects no class.
+stronger input below a weaker one lowers that sequence.  W* is unique,
+so that table's realization names the class too: class_name maps any
+minimum-sum realization to it, for build_catalog and map_ftl alike.
 
 Weights never need to exceed _MAX_WEIGHT[n] = 1, 1, 2, 3, 5, 9 for
 n = 1..6 inputs, so the table ranges over [0, _MAX_WEIGHT[n]].  Two facts
@@ -177,6 +177,13 @@ def canonicalize_np(tt: TruthTable) -> TruthTable:
                           used[::-1])
 
 
+def class_name(tf: ThresholdFunction) -> ThresholdFunction:
+    """The catalog's realization of the NP class of minimum-sum tf."""
+    return ThresholdFunction(
+        tuple(sorted((-abs(w) for w in tf.weights if w), reverse=True)),
+        tf.threshold - sum(w for w in tf.weights if w > 0))
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     index: int
@@ -193,20 +200,17 @@ def build_catalog(n_max: int = 5) -> list[CatalogEntry]:
     functions of at most n_max variables, with minimal weights, sorted by
     (input count, canonical table) and indexed from 0.
 
-    The classes are the keys (W*, T) on n_max inputs, relabelled: the k
-    nonzero weights lead, every input is complemented and the first k
-    reversed, so W* becomes -W* reversed and T drops by sum(W*).  No class
-    is re-detected; one product evaluates every realization instead."""
+    The classes are the keys (W*, T) on n_max inputs, relabelled: every
+    input complemented, the used ones (they lead) reversed, the realization
+    named by class_name.  No class is re-detected; one product checks all."""
     if not 1 <= n_max <= 5:
         raise ValueError(f"catalog limited to 1 <= n_max <= 5, got {n_max}")
     found = []
     for bits, (w, t) in _sorted_tables(n_max, _MAX_WEIGHT[n_max]).items():
-        k = n_max - w.count(0)
         tt = permute_inputs(apply_complements(TruthTable(n_max, bits),
                                               (1 << n_max) - 1),
-                            tuple(range(k - 1, -1, -1)))
-        found.append((tt, ThresholdFunction(
-            tuple(-x for x in reversed(w[:k])), t - sum(w))))
+                            tuple(range(n_max - w.count(0) - 1, -1, -1)))
+        found.append((tt, class_name(ThresholdFunction(w, t))))
     found.sort(key=lambda e: (e[0].n, e[0].bits))
     # Zero weights pad each entry to n_max inputs, so its table is the low
     # 2^n minterms of the realization's.

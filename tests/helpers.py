@@ -234,6 +234,45 @@ def reference_catalog(n_max):
             enumerate(sorted(classes, key=lambda t: (t.n, t.bits)))]
 
 
+def monotone_tables(n):
+    """Every monotone table on n inputs, as bits: f0 + x_k f1 for each
+    pair of monotone tables f0 <= f1 on the k = 0..n-1 inputs below."""
+    tables = [0, 1]
+    for k in range(n):
+        tables = [lo | hi << (1 << k) for lo in tables for hi in tables
+                  if lo & ~hi == 0]
+    return tables
+
+
+def asummability_witnesses(n, tables):
+    """For each table on n inputs, on-set minterms u1, u2 and off-set
+    minterms v1, v2 with u1 + u2 = v1 + v2 as 0/1 vectors, or None.  A
+    witness proves the table is not threshold: any W and T would give
+    W.u1 + W.u2 >= 2T > W.v1 + W.v2 (Elgot 1961)."""
+    p, q = np.triu_indices(1 << n)  # every pair of minterms, p <= q
+    bit = np.arange(n)
+    code = (((p[:, None] >> bit) & 1) + ((q[:, None] >> bit) & 1)) @ 3 ** bit
+    f = ((np.array(tables, dtype=np.int64)[:, None] >> np.arange(1 << n))
+         & 1).astype(bool)
+    on, off = f[:, p] & f[:, q], ~f[:, p] & ~f[:, q]
+    sides = []
+    for pairs in (on, off):  # which pair sums each table reaches, per side
+        reached = np.zeros((len(tables), 3 ** n), dtype=bool)
+        rows, cols = np.nonzero(pairs)
+        reached[rows, code[cols]] = True
+        sides.append(reached)
+    shared = sides[0] & sides[1]
+    witnesses = []
+    for row in range(len(tables)):
+        if not shared[row].any():
+            witnesses.append(None)
+            continue
+        same = code == np.argmax(shared[row])
+        u, v = np.argmax(on[row] & same), np.argmax(off[row] & same)
+        witnesses.append(tuple(int(x) for x in (p[u], q[u], p[v], q[v])))
+    return witnesses
+
+
 def permute_inputs_loop(tt, perm):
     """permute_inputs one minterm at a time: new variable j reads old
     variable perm[j], and the inputs left out read 0."""

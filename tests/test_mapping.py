@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftl import mapping
+from ftl import mapping, threshold
 from ftl.mapping import (AREA_PER_FANIN, DFF_AREA, FTL_AREA,
                          export_mapped_blif, map_ftl, verify_equivalence,
                          write_cost_csv)
 from ftl.netlist import Gate, Latch, Netlist, enumerate_cuts, parse_blif
-from ftl.threshold import build_catalog, check_threshold, f115_table
+from ftl.threshold import build_catalog, canonicalize_np, check_threshold
 from ftl.truthtable import TruthTable
 from helpers import (dead_gates_walk, reference_cuts, reference_map,
                      refs_of, scalar_step)
@@ -70,10 +70,30 @@ def test_f115_cone_replaced(catalog):
     design = map_ftl(nl, catalog=catalog)
     assert len(design.instances) == 1
     inst = design.instances[0]
-    assert catalog[inst.catalog_index].table.bits == \
-        inst.function.bits or inst.function.bits == f115_table().bits
+    assert catalog[inst.catalog_index].table == canonicalize_np(inst.function)
+    assert inst.catalog_index == 41  # the cat= of the pinned mapped.blif
     assert design.cost.area_after < design.cost.area_before
     assert verify_equivalence(nl, design).equivalent
+
+
+@pytest.mark.parametrize("name", ["fig2_hybrid.blif", "f115_nandinv.blif"])
+def test_one_chow_sort_per_checked_cut(catalog, name, monkeypatch):
+    """A placed cell's class is named from the realization check_threshold
+    returned, so each checked cut is sorted by Chow parameters once."""
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(threshold, "_chow_sort",
+                        counted("sort", threshold._chow_sort))
+    monkeypatch.setattr(mapping, "check_threshold",
+                        counted("check", mapping.check_threshold))
+    assert map_ftl(load(name), catalog=catalog).instances
+    assert calls["sort"] == calls["check"] > 0
 
 
 def test_xor_ring_untouched(catalog):

@@ -9,13 +9,15 @@ import pytest
 
 from ftl import threshold
 from ftl.threshold import (ThresholdFunction, build_catalog, canonicalize_np,
-                           check_threshold, count_threshold_functions,
-                           f115_table, write_catalog_csv)
+                           check_threshold, class_name,
+                           count_threshold_functions, f115_table,
+                           write_catalog_csv)
 from ftl.truthtable import (Polarity, TruthTable, apply_complements,
                             chow_parameters, parse_truth_table, permute_inputs,
                             to_positive_form, unateness)
 
-from helpers import (brute_canonical_np, permute_inputs_loop, realizes,
+from helpers import (asummability_witnesses, brute_canonical_np,
+                     monotone_tables, permute_inputs_loop, realizes,
                      reference_catalog)
 
 AND2 = parse_truth_table("8", 2)
@@ -171,7 +173,8 @@ def test_canonicalize_matches_brute_force_every_table_n_le_4():
 
 def test_canonicalize_catalog_variants_with_unused_inputs():
     """Seeded NP variants of every class, widened to 5 inputs where it has
-    fewer, name their class and agree with the brute-force minimum."""
+    fewer, name their class, agree with the brute-force minimum, and have
+    realizations that class_name maps to the class's."""
     rng = random.Random(17)
     for e in build_catalog(5):
         wide = TruthTable(5, sum(e.table.value(m % e.table.size) << m
@@ -179,6 +182,7 @@ def test_canonicalize_catalog_variants_with_unused_inputs():
         for tt in (np_variant(rng, e.table), np_variant(rng, wide)):
             assert canonicalize_np(tt) == e.table, (e.index, tt)
             assert brute_canonical_np(tt) == e.table, (e.index, tt)
+            assert class_name(check_threshold(tt)) == e.function, (e.index, tt)
 
 
 @pytest.mark.parametrize("tt", [
@@ -340,7 +344,8 @@ def test_six_inputs():
 
 def test_catalog_entries_survive_np_transforms():
     """Every permuted and complemented copy of a catalog class is realized
-    with the class's weight sum."""
+    with the class's weight sum, by a realization that class_name maps to
+    the class's."""
     rng = random.Random(3)
     for e in build_catalog(5):
         total = sum(abs(w) for w in e.function.weights)
@@ -351,6 +356,30 @@ def test_catalog_entries_survive_np_transforms():
             tf = check_threshold(tt)
             assert tf is not None and realizes(tf, tt), (e.index, tt)
             assert sum(abs(w) for w in tf.weights) == total, (e.index, tt)
+            assert class_name(tf) == e.function, (e.index, tt)
+
+
+@pytest.mark.parametrize("n, functions, not_threshold", [
+    (1, 3, 0), (2, 6, 0), (3, 20, 0), (4, 168, 18), (5, 7581, 4294)])
+def test_witness_iff_not_threshold_every_monotone_function(n, functions,
+                                                           not_threshold):
+    """Every monotone table of n <= 5 inputs is not threshold exactly when
+    two on-set and two off-set minterms have equal 0/1 sums (Elgot 1961),
+    and every witness found is one: the sums agree input by input, and
+    each minterm lies on its side."""
+    tables = monotone_tables(n)
+    assert len(tables) == functions  # the Dedekind numbers
+    witnessed = 0
+    for bits, witness in zip(tables, asummability_witnesses(n, tables)):
+        tt = TruthTable(n, bits)
+        assert (witness is None) == (check_threshold(tt) is not None), tt
+        if witness is not None:
+            u1, u2, v1, v2 = witness
+            assert [tt.value(m) for m in witness] == [1, 1, 0, 0], tt
+            assert all((u1 >> i & 1) + (u2 >> i & 1)
+                       == (v1 >> i & 1) + (v2 >> i & 1) for i in range(n)), tt
+            witnessed += 1
+    assert witnessed == not_threshold
 
 
 @pytest.mark.parametrize("n_max", range(1, 6))
