@@ -11,11 +11,11 @@ scalar list (`respond` for `evaluate`, `first_miss` for the trainer and
 numpy block of trials, which `minterm_checks` reads for `yield_mc`.
 
 Branch conductance uses the alpha-power law g = max(0, Vgate - Vt)^ALPHA
-(ALPHA = 1.3; Sakurai and Newton, IEEE JSSC 1990), a stand-in for the
-saturation current of the flash device in series with a full-rail input
-switch.  All conductances are in normalized siemens (k_cond = 1).  The
-model constants and the 0.02 V Vt step are fixed; `DeviceParams` exposes
-them for cell.json.
+(ALPHA = 1.3; Sakurai and Newton, IEEE JSSC 1990) in normalized siemens
+(k_cond = 1), the saturation current of a flash device in series with a
+full-rail input switch.  A block reaches libm pow, as `**` does, through
+np.float_power; np.power's SIMD loop can differ in the last bit.  The
+constants and the 0.02 V Vt step are fixed; DeviceParams exposes them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -167,19 +166,21 @@ def _pcg64_seeds(seed: int, trials: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pcg64_from_words():
     """PCG64 seeded straight from a trial's hashed words, through numpy's
-    ISeedSequence interface.  Built on first use, so that importing ftl
-    does not load numpy.random (~15 ms) for runs that draw no variation."""
+    ISeedSequence interface; all trials share one holder, which a PCG64
+    reads only while it is built.  Built on first use, so that importing
+    ftl does not load numpy.random (~15 ms) for runs that draw no variation."""
     from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     class Seeded(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    return lambda words: PCG64(Seeded(words))
+    def pcg64(words, holder=Seeded()):
+        holder.words = words
+        return PCG64(holder)
+
+    return pcg64
 
 
 def sample_variation(
@@ -291,10 +292,9 @@ def _devices(cell: FtlCell, sample: VariationSample | None):
     g, local = sample.global_shift, sample.local
     vts = [v + (g + dv) for v, dv in zip(cell.vt, local)]
     vts += [cell.v_left + g + local[-2], cell.v_right + g + local[-1]]
-    if np.ndim(g):  # libm pow, as branch_conductance's **: np.power can differ
+    if np.ndim(g):  # float_power is libm pow, as branch_conductance's **
         drive = np.maximum(p.vgate - np.array(vts), 0.0)
-        cond = map(math.pow, drive.ravel().tolist(), repeat(ALPHA))
-        return np.array(list(cond)).reshape(drive.shape), sample.k_mult
+        return np.float_power(drive, ALPHA), sample.k_mult
     return [branch_conductance(v, p) for v in vts], sample.k_mult
 
 
@@ -313,9 +313,9 @@ def input_sums(g, n: int, prefix: list[float] | None = None):
     first 2^k entries of a table whose inputs below k still hold, is
     extended in place: those entries read no other input."""
     if isinstance(g, np.ndarray):
-        sums = np.zeros((len(g), 1))
+        sums = np.zeros((len(g), 1 << n))
         for i in range(n):
-            sums = np.concatenate((sums, sums + g[:, i:i + 1]), axis=1)
+            np.add(sums[:, :1 << i], g[:, i:i + 1], out=sums[:, 1 << i:2 << i])
         return sums
     sums = [0.0] if prefix is None else prefix
     for i in range(len(sums).bit_length() - 1, n):

@@ -71,6 +71,29 @@ MUTANTS = [
            "                pass\n",
            (f"{R}::test_every_attempt_stops_for_a_proven_reason",
             f"{R}::test_matches_reference_catalog")),
+    # float_power -> power is left out: without AVX-512, np.power's float64
+    # loop can be libm pow as well, and the mutant would survive there.
+    Mutant("block-drive-unclamped",
+           "src/ftl/device.py",
+           "        drive = np.maximum(p.vgate - np.array(vts), 0.0)\n",
+           "        drive = p.vgate - np.array(vts)\n",
+           (f"{D}::test_conductances_equal_evaluate_bit_for_bit",)),
+    Mutant("block-exponent-nudged",
+           "src/ftl/device.py",
+           "        return np.float_power(drive, ALPHA), sample.k_mult\n",
+           "        return np.float_power(drive, ALPHA + 1e-15), sample.k_mult\n",
+           (f"{D}::test_conductances_equal_evaluate_bit_for_bit",)),
+    Mutant("block-sums-inputs-reversed",
+           "src/ftl/device.py",
+           "np.add(sums[:, :1 << i], g[:, i:i + 1], out=",
+           "np.add(sums[:, :1 << i], g[:, n - 1 - i:n - i], out=",
+           (f"{D}::test_input_sums_equal_ascending_loop",
+            f"{D}::test_conductances_equal_evaluate_bit_for_bit")),
+    Mutant("stream-holder-keeps-first-words",
+           "src/ftl/device.py",
+           "        holder.words = words\n",
+           "        holder.words = getattr(holder, 'words', words)\n",
+           (f"{D}::test_block_draw_equals_reference_stream",)),
     Mutant("params-no-finite-drive-check",
            "src/ftl/device.py",
            "        if not finite:\n",

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftl.analysis import conductivity_map
-from ftl.device import (C_EFF, CLOCK_FREQ, DUTY, METASTABLE_EPS,
-                        SWITCHING_ACTIVITY, DeviceParams, FtlCell,
+from ftl.analysis import (SIGMA_GLOBAL, SIGMA_K, SIGMA_LOCAL, YIELD_BLOCK,
+                          conductivity_map)
+from ftl.device import (ALPHA, C_EFF, CLOCK_FREQ, DUTY, METASTABLE_EPS,
+                        SWITCHING_ACTIVITY, VDD_MAX, DeviceParams, FtlCell,
                         VariationSample, _pcg64_seeds, branch_conductance,
                         conductances, evaluate, first_miss, input_sums,
                         minterm_checks, model_power, respond,
@@ -278,6 +279,32 @@ def test_conductances_equal_evaluate_bit_for_bit(n):
                         assert (g_left[row, m], g_right[row, m]) == ref
                         assert (r.g_left, r.g_right) == ref
     assert cut_off > 0
+
+
+def test_float_power_is_libm_pow():
+    """The block kernel raises its drives to ALPHA with np.float_power,
+    whose float64 loop calls libm pow, the pow of branch_conductance's **;
+    the scalar and block kernels agree bit for bit only while this holds.
+    np.power's SIMD loop can differ in the last bit, so a numpy that gave
+    float_power one too fails here instead of moving the yields.  Drives:
+    every device of a 5-input cell over a YIELD_BLOCK-trial block at the
+    yield sigmas and at wide sigmas that reach cutoff, and the edges."""
+    p = DeviceParams()
+    vt = np.random.default_rng(32).uniform(p.vt_min, p.vt_max, (7, 1))
+    drives = [np.array([0.0, 5e-324, 1.0, VDD_MAX, VDD_MAX - p.delta])]
+    for sigmas in ((SIGMA_LOCAL, SIGMA_GLOBAL, SIGMA_K), (0.3, 0.3, 0.1)):
+        block = sample_variation(5, *sigmas, 3, range(YIELD_BLOCK))
+        shifted = vt + (block.global_shift + block.local)
+        drives.append(np.maximum(p.vgate - shifted, 0.0).ravel())
+    assert (drives[-1] == 0.0).any() and drives[-1].size == 7 * YIELD_BLOCK
+    x = np.concatenate(drives)
+    got = np.float_power(x, ALPHA)
+    want = np.array([math.pow(d, ALPHA) for d in x.tolist()])
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert not bad.size, (
+        f"numpy {np.__version__}: {bad.size} of {x.size} drives differ, "
+        f"first float_power({x[bad[0]]!r}, ALPHA) = {got[bad[0]]!r}, "
+        f"math.pow gives {want[bad[0]]!r}")
 
 
 def test_respond_on_nominal_branches_equals_evaluate():
