@@ -222,22 +222,15 @@ def margin_schedule(tt: TruthTable,
     if not cur.converged:
         raise TrainingError(f"margin-0 training did not converge (stopped on "
                             f"{cur.stop_reason})")
-    levels = []
-
-    def add(margin, result):
-        cmap = conductivity_map(result.cell, tt)
-        levels.append(MarginLevel(margin, result, cmap.min_separation,
-                                  worst_case_delay(result.cell, tt)))
-
-    add(0.0, cur)
+    trained = [(0.0, cur)]
     for margin in ROBUST_MARGINS[1:]:
-        nxt = _train_from(cur.cell, tt, replace(cfg, handicap_margin=margin),
+        cur = _train_from(cur.cell, tt, replace(cfg, handicap_margin=margin),
                           cur.active_side)
-        if not nxt.converged:
+        if not cur.converged:
             break
-        cur = nxt
-        add(margin, cur)
-    return levels
+        trained.append((margin, cur))
+    return [MarginLevel(margin, r, conductivity_map(r.cell, tt).min_separation,
+                        worst_case_delay(r.cell, tt)) for margin, r in trained]
 
 
 class RetuneError(Exception):

@@ -70,20 +70,22 @@ def _rows_csv(rows) -> str:
     return _csv(lambda fp: csv.writer(fp).writerows(rows))
 
 
+def _decimal(text: str) -> bool:
+    """ASCII 0-9 only: int() also takes signs, spaces, "_", other digits."""
+    return text.isascii() and text.isdecimal()
+
+
 def _resolve_function(spec: str):
     """Function spec: 'hex:<digits>:<n>' or 'cat:<index>'."""
     if spec.startswith("cat:"):
         entries = threshold.build_catalog(5)
-        try:
-            idx = int(spec[4:])
-        except ValueError:
-            idx = -1
-        if not 0 <= idx < len(entries):
+        idx = spec[4:]
+        if not (_decimal(idx) and int(idx) < len(entries)):
             raise CliError(f"bad catalog index in {spec!r}", EXIT_VALIDATION)
-        return entries[idx].table
+        return entries[int(idx)].table
     if spec.startswith("hex:"):
         parts = spec.split(":")
-        if len(parts) != 3:
+        if len(parts) != 3 or not _decimal(parts[2]):
             raise CliError("hex spec must look like hex:<digits>:<n>",
                            EXIT_VALIDATION)
         try:

@@ -5,10 +5,11 @@ network sums the branch conductances of inputs at 1 plus the left side
 device, the right network sums inputs at 0 plus the right side device.
 The output is 1 when G_L wins; the sense-amp resolution time is modeled
 as TAU0 + TAU1 / |G_L - G_R|.  One kernel, `input_sums`, adds the inputs
-of every minterm in ascending order.  The nominal checks read it as a
-scalar list (`respond` for `evaluate`, `first_miss` for the trainer and
-`verify_cell`, and `worst_case_delay`); `conductances` builds it as a
-numpy block of trials, which `minterm_checks` reads for `yield_mc`.
+of every minterm in ascending order.  Its scalar list serves only the
+trainer's walk, the `verify_cell` certificate (both via `first_miss`) and
+the reference `evaluate` (via `respond`).  Every other reader takes the
+numpy block that `conductances` builds: one row per trial for `yield_mc`,
+one nominal row for `worst_case_delay` and `model_power`.
 
 Branch conductance uses the alpha-power law g = max(0, Vgate - Vt)^ALPHA
 (ALPHA = 1.3; Sakurai and Newton, IEEE JSSC 1990) in normalized siemens
@@ -421,10 +422,7 @@ def verify_cell(cell: FtlCell, tt: TruthTable, margin: float = 0.0) -> bool:
 def worst_case_delay(cell: FtlCell, tt: TruthTable) -> float:
     """Max nominal evaluate delay over all minterms (the modeled C2Q)."""
     _same_inputs(cell, tt)
-    n, g = cell.n, _devices(cell, None)[0]
-    sums = input_sums(g, n)
-    return sense_delay(min(abs((s + g[n]) - (r + g[n + 1]))
-                           for s, r in zip(sums, reversed(sums))))
+    return sense_delay(float(np.abs(np.subtract(*conductances(cell))).min()))
 
 
 def model_power(cell: FtlCell, tt: TruthTable) -> float:

@@ -61,7 +61,6 @@ class FtlInstance:
     q: str  # net previously driven by the replaced flip-flop
     leaves: tuple[str, ...]  # x_1 = leaves[0]
     function: TruthTable  # over the leaves, original polarity
-    polarity_mask: int  # leaves fed complemented
     weights: ThresholdFunction  # minimal; negative on complemented leaves
     catalog_index: int | None = None
 
@@ -185,10 +184,8 @@ def map_ftl(
         index = index or {(e.function.weights, e.function.threshold): e.index
                           for e in catalog or ()}
         instances.append(FtlInstance(
-            q=q, leaves=cut.leaves, function=tt,
-            polarity_mask=sum(1 << i for i, w in enumerate(tf.weights)
-                              if w < 0),
-            weights=tf, catalog_index=index.get((name.weights, name.threshold)),
+            q=q, leaves=cut.leaves, function=tt, weights=tf,
+            catalog_index=index.get((name.weights, name.threshold)),
         ))
         del work.latches[q]
         refs[latch.d] -= 1
@@ -327,14 +324,14 @@ def verify_equivalence(
 
 def export_mapped_blif(design: MappedDesign) -> str:
     """Residual netlist plus one .subckt ftl5 line per instance carrying
-    the catalog index and the leaf polarity mask."""
+    the catalog index and the leaf polarity mask: bit i set where leaf i is
+    fed complemented, its weight negative."""
     lines = []
     for inst in design.instances:
         pins = " ".join(f"x{i}={leaf}" for i, leaf in enumerate(inst.leaves))
         idx = inst.catalog_index if inst.catalog_index is not None else -1
-        lines.append(
-            f".subckt ftl5 cat={idx} pol={inst.polarity_mask:x} {pins} y={inst.q}"
-        )
+        pol = sum(1 << i for i, w in enumerate(inst.weights.weights) if w < 0)
+        lines.append(f".subckt ftl5 cat={idx} pol={pol:x} {pins} y={inst.q}")
     return write_blif(design.netlist, lines)
 
 

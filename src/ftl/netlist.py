@@ -55,10 +55,6 @@ class Netlist:
     gates: dict[str, Gate] = field(default_factory=dict)  # keyed by output net
     latches: dict[str, Latch] = field(default_factory=dict)  # keyed by q net
 
-    def validate(self) -> None:
-        self.check_drivers()
-        self.topo_order()  # raises on combinational loops
-
     def check_drivers(self) -> None:
         """Every net is driven once, and every net read is driven."""
         driven = list(self.inputs) + list(self.gates) + list(self.latches)
@@ -255,7 +251,8 @@ def parse_blif(text: str) -> Netlist:
             raise NetlistError(f"unsupported directive {directive!r}")
         i += 1
 
-    nl.validate()
+    nl.check_drivers()
+    nl.topo_order()  # raises on combinational loops
     return nl
 
 

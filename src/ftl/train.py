@@ -9,17 +9,20 @@ move on every incorrect response: a missed on-set minterm raises V_R
 V_L (then lowers V_R).  Updating the bias only when the input-device
 update is fully clamped looks equivalent but is not: input-only updates
 can cancel exactly across an epoch (e.g. the 1-vs-4 weighted function of
-five inputs) and the loop then cycles forever.
+five inputs) and the loop then cycles forever.  Each attempt writes the
+rule down once, as one move list per minterm, which an update walks up to
+the first side device that moves.
 
 Correctness flows solely through the device-model oracle; the weight
 vector of the target function is never consulted during updates.  Branch
 conductances are built once per cell state (an update recomputes the ones
-it moves), and so is their `device.input_sums` table: after an update it
-is rebuilt from the lowest moved input up, since the entries below 2^i
-read only inputs below i and stay the same floats.  `device.first_miss`
-walks each epoch on it, resuming after each miss, with `respond`'s
-arithmetic and verdicts, so every decision is `evaluate`'s.  The
-certificate, `verify_cell`, rebuilds both from the final cell's Vts.
+it moves), and so is their scalar `device.input_sums` table: after an
+update it is rebuilt from the lowest moved input up, since the entries
+below 2^i read only inputs below i and stay the same floats.
+`device.first_miss` walks each epoch on it, resuming after each miss,
+with `respond`'s arithmetic and verdicts, so every decision is
+`evaluate`'s.  The certificate, `verify_cell`, rebuilds both from the
+final cell's Vts.
 `train` says why every attempt stops.
 """
 
@@ -43,7 +46,7 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    delta: float | None = None  # defaults to params.delta
+    delta: float = DeviceParams.delta
     handicap_margin: float = 0.0  # siemens
     record_trace: bool = False
 
@@ -51,9 +54,9 @@ class TrainConfig:
         # A NaN Vt never repeats; under a NaN margin every attempt cycles.
         for name in ("delta", "handicap_margin"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value}")
-        if self.delta is not None and self.delta <= 0:
+        if self.delta <= 0:
             raise ValueError("delta must be positive")
 
 
@@ -110,8 +113,7 @@ def _train_from(
     side: str,
 ) -> TrainResult:
     p, n = cell.params, tt.n
-    delta = config.delta if config.delta is not None else p.delta
-    lo, hi = p.vt_min, p.vt_max
+    delta, lo, hi = config.delta, p.vt_min, p.vt_max
     h = config.handicap_margin
     v = list(cell.all_vt())  # inputs, then the left and right side devices
     g = [branch_conductance(x, p) for x in v]  # kept in step with v
@@ -119,61 +121,46 @@ def _train_from(
     trace: list[TraceEntry] = []
     iterations = epochs = 0
     seen: set[tuple] = set()
-
-    def move(i, step, minterm, reason) -> bool:
-        old = v[i]
-        v[i] = step(old, delta, lo, hi)
-        if v[i] == old:
-            return False
-        g[i] = branch_conductance(v[i], p)
-        if config.record_trace:
-            trace.append(TraceEntry(iterations, epochs, minterm, names[i],
-                                    old, v[i], reason))
-        return True
-
-    def result(converged, reason):
-        out = FtlCell(n, tuple(v[:n]), v[n], v[n + 1], p)
-        return TrainResult(out, converged, iterations, epochs, side, trace,
-                           reason)
-
     wants = tt.values()
-    ones = [[i for i in range(n) if m >> i & 1] for m in range(1 << n)]
+    # Per minterm, the devices an update tries in order: the inputs at 1,
+    # then the side device opposing the wanted output w (up), the other (down).
+    up_down = (_step_up, _step_down)  # an input's step is up_down[w]
+    ins = [[(i, step, "eq2") for i in range(n)] for step in up_down]
+    sides = [[(j, step, "fallback_" + names[j])
+              for j, step in zip((n + w, n + 1 - w), up_down)] for w in (0, 1)]
+    moves = [[x for x in ins[w] if m >> x[0] & 1] + sides[w]
+             for m, w in enumerate(wants)]
     sums = input_sums(g, n)  # rebuilt from the lowest moved input up
-    while True:
-        state = tuple(v)
-        if state in seen:
-            return result(False, "cycle")
+    converged = False
+    while not converged and (state := tuple(v)) not in seen:
         seen.add(state)
         epochs += 1
         before, m = iterations, 0
         while (m := first_miss(g, sums, wants, h, m)) is not None:
             iterations += 1
-            step = _step_down if wants[m] else _step_up
-            low = None  # the lowest input that moves
-            for i in ones[m]:  # move's steps, inline: this is the hot loop
+            low = n  # the lowest input that moves
+            for i, step, reason in moves[m]:
                 old = v[i]
                 new = v[i] = step(old, delta, lo, hi)
                 if new != old:
                     g[i] = branch_conductance(new, p)
                     if config.record_trace:
                         trace.append(TraceEntry(iterations, epochs, m,
-                                                names[i], old, new, "eq2"))
-                    if low is None:
+                                                names[i], old, new, reason))
+                    if i >= n:  # one side device moves per update
+                        break
+                    if i < low:
                         low = i
-            if low is not None:  # entries below 2^low read no moved input
+            if low < n:  # entries below 2^low read no moved input
                 sums = input_sums(g, n, sums[:1 << low])
-            # Bias: weaken the side device that opposes the wanted output
-            # or, once it clamps, strengthen the other one.
-            up, down = (n + 1, n) if wants[m] else (n, n + 1)
-            if not move(up, _step_up, m, "fallback_" + names[up]):
-                move(down, _step_down, m, "fallback_" + names[down])
             m += 1  # the epoch resumes after the missed minterm
-        if iterations == before:
-            break
+        converged = iterations == before
 
-    out = result(True, "converged")
+    out = TrainResult(FtlCell(n, tuple(v[:n]), v[n], v[n + 1], p), converged,
+                      iterations, epochs, side, trace,
+                      "converged" if converged else "cycle")
     # Convergence certificate, independent of the training loop.
-    if not verify_cell(out.cell, tt, h):
+    if converged and not verify_cell(out.cell, tt, h):
         raise TrainingError("converged cell failed re-verification")
     return out
 

@@ -8,6 +8,7 @@ significant bit.  The same convention is used by the hex serialization
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -68,11 +69,10 @@ def parse_truth_table(spec: str, n: int) -> TruthTable:
         raise ValueError(
             f"hex spec for n={n} must have {width} digits, got {len(spec)}"
         )
-    try:
-        bits = int(spec, 16)
-    except ValueError:
-        raise ValueError(f"not a hex string: {spec!r}") from None
-    return TruthTable(n, bits)
+    # int() would also take signs, spaces, "_", "0x" and any script's digits
+    if not all(c in string.hexdigits for c in spec):
+        raise ValueError(f"not a hex string: {spec!r}")
+    return TruthTable(n, int(spec, 16))
 
 
 @lru_cache(maxsize=None)

@@ -182,8 +182,7 @@ def reference_map(nl, k=5, catalog=None):
             continue
         _, cut, tt, tf, dead = best
         instances.append(mapping.FtlInstance(
-            q, cut.leaves, tt,
-            sum(1 << i for i, w in enumerate(tf.weights) if w < 0), tf,
+            q, cut.leaves, tt, tf,
             None if tt.is_constant() else index.get(canonicalize_np(tt))))
         del work.latches[q]
         for g in dead:

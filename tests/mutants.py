@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 T, M, D, R = ("tests/test_threshold.py", "tests/test_mapping.py",
               "tests/test_device.py", "tests/test_train.py")
+TT, C = "tests/test_truthtable.py", "tests/test_cli.py"
 
 MUTANTS = [
     Mutant("name-threshold-shift-negative",
@@ -71,6 +72,32 @@ MUTANTS = [
            "                pass\n",
            (f"{R}::test_every_attempt_stops_for_a_proven_reason",
             f"{R}::test_matches_reference_catalog")),
+    Mutant("train-moves-sides-swapped",
+           "src/ftl/train.py",
+           "for j, step in zip((n + w, n + 1 - w), up_down)]",
+           "for j, step in zip((n + 1 - w, n + w), up_down)]",
+           (f"{R}::test_matches_reference_catalog",)),
+    Mutant("train-both-sides-move",
+           "src/ftl/train.py",
+           "                        break\n",
+           "                        pass\n",
+           (f"{R}::test_matches_reference_catalog",)),
+    Mutant("worst-delay-largest-gap",
+           "src/ftl/device.py",
+           "np.subtract(*conductances(cell))).min()",
+           "np.subtract(*conductances(cell))).max()",
+           (f"{D}::test_table_checks_equal_per_minterm_evaluate",)),
+    Mutant("export-pol-positive-weights",
+           "src/ftl/mapping.py",
+           "enumerate(inst.weights.weights) if w < 0)",
+           "enumerate(inst.weights.weights) if w > 0)",
+           (f"{M}::test_verdicts_match_per_call_step",)),
+    Mutant("hex-digits-unchecked",
+           "src/ftl/truthtable.py",
+           "    if not all(c in string.hexdigits for c in spec):\n",
+           "    if False:\n",
+           (f"{TT}::test_parse_rejects_bad_input",
+            f"{C}::test_train_spec_range")),
     # float_power -> power is left out: without AVX-512, np.power's float64
     # loop can be libm pow as well, and the mutant would survive there.
     Mutant("block-drive-unclamped",

@@ -69,15 +69,24 @@ def test_train_bad_spec(runner, tmp_path):
 @pytest.mark.parametrize("spec, code", [
     ("cat:-1", 2), ("cat:117", 2), ("cat:116", 0),
     ("hex:" + "f" * 31 + "e:7", 2), ("hex:8" + "0" * 63 + ":8", 2),
-], ids=["cat-1", "cat117", "cat116", "hex7", "hex8"])
+    ("hex:+f:3", 2), ("hex: f:3", 2), ("hex:1_00:4", 2), ("hex:0xff:4", 2),
+    ("hex:-001:4", 2), ("hex:ff:+3", 2), ("cat:+5", 2), ("cat: 5", 2),
+    ("cat:\u0663", 2),
+], ids=["cat-1", "cat117", "cat116", "hex7", "hex8", "hex-sign",
+        "hex-space", "hex-underscore", "hex-0x", "hex-minus", "n-sign",
+        "cat-sign", "cat-space", "cat-arabic-digit"])
 def test_train_spec_range(runner, tmp_path, spec, code):
     """Catalog indices run 0..116 and the solver takes at most 6 inputs;
-    anything outside is a validation error, not a traceback."""
+    anything outside is a validation error, not a traceback.  Digits,
+    the n of a hex spec and a catalog index are ASCII digits only: no
+    sign, space, "_", "0x" or other script's digit, all of which int()
+    would take."""
     r = runner.invoke(main, ["train", spec, "--out", str(tmp_path)])
     assert r.exit_code == code, r.output
     assert (tmp_path / "cell.json").exists() == (code == 0)
     if code:
         assert "Error:" in r.output
+        assert "out of range" not in r.output
 
 
 def test_robust_flag_f115(runner, tmp_path):

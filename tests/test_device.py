@@ -356,11 +356,12 @@ def _zero_block(n, trials):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_scalar_checks_equal_block_kernel(n):
-    """verify_cell, worst_case_delay and first_miss read the scalar list
-    table; minterm_checks and conductances read the numpy block.  On an
-    all-zero variation block they must agree: on random cells, with each
-    side device parked at vdd, with inputs past cutoff, and on a cell
-    whose equal devices tie some minterms exactly (gap 0, metastable).
+    """verify_cell and first_miss read the scalar list table;
+    minterm_checks and conductances read the numpy block, and
+    worst_case_delay its one nominal row.  On an all-zero variation block
+    they must agree: on random cells, with each side device parked at vdd,
+    with inputs past cutoff, and on a cell whose equal devices tie some
+    minterms exactly (gap 0, metastable).
     At margin -METASTABLE_EPS the tied on-set minterms sit exactly on the
     metastable window's edge, outside it."""
     rng = np.random.default_rng(300 + n)

@@ -202,7 +202,7 @@ def test_verdicts_match_per_call_step(catalog):
         ".inputs a ", ".inputs an ").replace(".end", ".names an a\n0 1\n.end")
     nl = parse_blif(text)
     design = map_ftl(nl, catalog=catalog)
-    assert design.instances[0].polarity_mask == 1
+    assert " pol=1 " in export_mapped_blif(design)
     cases.append((nl, design))
     # fig2_hybrid's cells: fq = MAJ(c1, c2, p5), gq = MAJ(c2, p5, p6), with
     # c1 = p1 + p2 and c2 = p3 p4; sweep pattern m sets p_i to bit i-1.

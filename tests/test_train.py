@@ -234,7 +234,7 @@ def _reference_train_from(cell, tt, config, side):
     after every update: the reference that `_train_from`, which builds the
     branch conductances once per cell state, must match bit for bit."""
     p = cell.params
-    delta = config.delta if config.delta is not None else p.delta
+    delta = config.delta
     h = config.handicap_margin
     vt = list(cell.vt)
     vl, vr = cell.v_left, cell.v_right

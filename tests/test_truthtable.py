@@ -36,6 +36,11 @@ def test_parse_rejects_bad_input():
         parse_truth_table("g", 2)
     with pytest.raises(ValueError):
         parse_truth_table("4", 1)  # one digit, but n = 1 has 2 bits
+    # int(_, 16) would take each of these.
+    for spec, n in [("+f", 3), (" f", 3), ("f ", 3), ("1_00", 4),
+                    ("0xff", 4), ("-001", 4), ("\u0663", 2)]:
+        with pytest.raises(ValueError, match="^not a hex string"):
+            parse_truth_table(spec, n)
 
 
 def test_hex_round_trip():
