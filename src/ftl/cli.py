@@ -285,7 +285,8 @@ def cmd_experiments(name, args, trials, vdd, seed, out):
 def cmd_map(blif, k, seed, out):
     """Map threshold cones of a BLIF netlist onto FTL cells."""
     try:
-        text = open(blif, encoding="utf-8").read()
+        with open(blif, encoding="utf-8") as fp:
+            text = fp.read()
     except OSError as e:
         raise CliError(f"cannot read {blif}: {e}", EXIT_IO)
     except UnicodeDecodeError as e:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netlist import (Cut, Gate, Latch, Netlist, NetlistError, all_patterns,
-                      cut_function, enumerate_cuts, write_blif)
+from .netlist import (Gate, Latch, Netlist, all_patterns, cut_function,
+                      enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, check_threshold, class_name
 from .truthtable import TruthTable
 
@@ -45,6 +45,8 @@ FTL_SETUP = 67e-12
 FTL_C2Q = 142e-12
 GATE_DELAY_BASE = 20e-12
 GATE_DELAY_PER_FANIN = 10e-12
+# Random cycles co-simulated before the single-cycle sweep.
+RANDOM_CYCLES = 64
 
 
 def _gate_area(gate) -> float:
@@ -167,15 +169,13 @@ def map_ftl(
         # No cut saves more than the whole MFFC, the cone with no leaves
         if _saving(work, _dead_gates(work, refs, latch.d, ())) <= 0:
             continue
-        ranked = []  # (key, cut, dead gates) of every cut that saves area
-        for cut in enumerate_cuts(work, latch.d, k):
-            dead = _dead_gates(work, refs, latch.d, cut.leaves)
-            saving = _saving(work, dead)
-            if saving > 0:
-                ranked.append(((-saving, len(cut.leaves), cut.leaves), cut,
-                               dead))
-        for _, cut, removable in sorted(ranked, key=lambda r: r[0]):
-            tt = cut_function(work, cut)
+        ranked = []  # (-saving, size, leaves, dead): leaves differ, no tie
+        for leaves in enumerate_cuts(work, latch.d, k):
+            dead = _dead_gates(work, refs, latch.d, leaves)
+            if (saving := _saving(work, dead)) > 0:
+                ranked.append((-saving, len(leaves), leaves, dead))
+        for *_, leaves, removable in sorted(ranked):
+            tt = cut_function(work, latch.d, leaves)
             if (tf := check_threshold(tt)) is not None:
                 break
         else:
@@ -184,12 +184,12 @@ def map_ftl(
         index = index or {(e.function.weights, e.function.threshold): e.index
                           for e in catalog or ()}
         instances.append(FtlInstance(
-            q=q, leaves=cut.leaves, function=tt, weights=tf,
+            q=q, leaves=leaves, function=tt, weights=tf,
             catalog_index=index.get((name.weights, name.threshold)),
         ))
         del work.latches[q]
         refs[latch.d] -= 1
-        refs.update(cut.leaves)
+        refs.update(leaves)
         for g in removable:
             refs.subtract(work.gates.pop(g).inputs)
         removed += len(removable) + 1
@@ -225,17 +225,16 @@ def _corresponds(original: Netlist, mapped: MappedDesign) -> bool:
     if any(original.latches[q] != l for q, l in residual.latches.items()):
         return False
     try:
-        return all(cut_function(original, Cut(
-                       original.latches[i.q].d, i.leaves)) == i.function
+        return all(cut_function(original, original.latches[i.q].d,
+                                i.leaves) == i.function
                    for i in mapped.instances)
-    except (KeyError, ValueError, NetlistError):
+    except (KeyError, ValueError):
         return False
 
 
 def verify_equivalence(
     original: Netlist,
     mapped: MappedDesign,
-    cycles: int = 64,
     stimuli_seed: int = 0,
 ) -> EquivalenceReport:
     """Equivalence from reset, proved when it can be, else co-simulated.
@@ -251,18 +250,18 @@ def verify_equivalence(
     cycles_checked the co-simulation would have covered: it cannot diverge
     on any of them, so the report is the one co-simulation gives.
 
-    Otherwise the designs are co-simulated: random multi-cycle stimuli,
+    Otherwise the designs are co-simulated: RANDOM_CYCLES random stimuli,
     one scalar step per design and cycle from each side's own reset, then
-    every single-cycle PI pattern from reset when there are at most 10
-    PIs, in one word step per design.  An output is compared by its value,
-    a register by its next state.  A divergence names the first cycle,
-    sweep pattern m counting as cycle cycles + m, and within it the first
+    every single-cycle PI pattern from reset when there are at most 10 PIs,
+    in one word step per design.  An output is compared by its value, a
+    register by its next state.  A divergence names the first cycle, sweep
+    pattern m counting as cycle RANDOM_CYCLES + m, and within it the first
     signal in sorted order.  Once the correspondence holds and a random
     cycle ends in equal states, the same induction covers the cycles left,
-    so the random phase stops there.  Foreign registers, PIs or outputs,
-    or nets not driven once, raise ValueError naming one, before either
-    path runs; so does a combinational loop, once co-simulated: a proven
-    design cannot loop, as its residual gates are the original's."""
+    so the random phase stops there.  Foreign registers, PIs or outputs, or
+    nets not driven once, raise ValueError naming one, before either path
+    runs; so does a combinational loop, once co-simulated: a proven design
+    cannot loop, as its residual gates are the original's."""
     pis = original.inputs
     registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
     for theirs, ours in ((registers, [*original.latches]),
@@ -279,31 +278,25 @@ def verify_equivalence(
         f"{i.q} ftl": Gate(f"{i.q} ftl", [*i.leaves], i.function)
         for i in mapped.instances}, latches=mapped.netlist.latches | {
         i.q: Latch(f"{i.q} ftl", i.q) for i in mapped.instances})
-    try:
-        flat.check_drivers()
-    except NetlistError as e:
-        raise ValueError(f"mapped design: {e}") from None
+    flat.check_drivers()
     sweep_ones, sweep = (all_patterns(pis) if len(pis) <= 10
                          else (0, dict.fromkeys(pis, 0)))
     corresponds = _corresponds(original, mapped)
     resets = [{q: l.init for q, l in nl.latches.items()}
               for nl in (original, flat)]
+    cycles = RANDOM_CYCLES
     if corresponds and resets[0] == resets[1]:
         return EquivalenceReport(True, cycles + sweep_ones.bit_length(),
                                  proved=True)
-    try:
-        program_m = flat.program()
-    except NetlistError as e:
-        raise ValueError(f"mapped design: {e}") from None
-    designs = [(original, original.program()), (flat, program_m)]
+    designs = [(nl, nl.topo_order()) for nl in (original, flat)]
     watch = sorted(set(original.latches) | set(original.outputs))
     stimuli = np.random.default_rng(stimuli_seed).integers(
         0, 2, size=(cycles, len(pis)))
     states = resets
     for c, row in enumerate(stimuli.tolist()):
         pi_values = dict(zip(pis, row))
-        steps = [nl.step(pi_values, state, program)
-                 for (nl, program), state in zip(designs, states)]
+        steps = [nl.step(pi_values, state, order)
+                 for (nl, order), state in zip(designs, states)]
         vals = [values | nxt for values, nxt in steps]
         if diff := [s for s in watch if vals[0][s] != vals[1][s]]:
             return EquivalenceReport(False, c + 1, (c, diff[0]))
@@ -311,8 +304,8 @@ def verify_equivalence(
         if corresponds and states[0] == states[1]:
             break
     vals = []
-    for nl, program in designs:
-        values, nxt = nl.step(sweep, {}, program, sweep_ones)
+    for nl, order in designs:
+        values, nxt = nl.step(sweep, {}, order, sweep_ones)
         vals.append(values | nxt)
     hit = min((((w & -w).bit_length() - 1, s) for s in watch
                if (w := vals[0][s] ^ vals[1][s])), default=None)

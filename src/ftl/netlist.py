@@ -2,17 +2,16 @@
 simulation, k-feasible cut enumeration, and cone truth-table extraction.
 
 Every walk over the gates in this module is `_post_order`: the gates behind
-some roots, each after all of its inputs, stopping at given nets.
-Simulation runs `Netlist.program()`, that walk over all gates as (net,
-inputs, table bits), in `step`.  Each net value is a word with one pattern
-per bit of a mask `ones`, so one pass evaluates one pattern or all 2^n
-assignments of n sources.  `_read` reads each gate's inputs from the net
-values, for one pattern or a word.  `enumerate_cuts` merges fan-in cuts
-along the walk of a root's cone, and `cut_function` runs the walk from a
-cut's root, stopped at its leaves, over every leaf pattern at once.
+some roots, each after all of its inputs, stopping at given nets.  Every
+gate is evaluated by one loop, `_evaluate`, over such a walk: `step` runs
+it over `topo_order()`, and `cut_function` over a root's cone stopped at
+the cut's leaves.  Each net value is a word with one pattern per bit of a
+mask `ones`, so one pass evaluates one pattern or all 2^n assignments of n
+sources.  `enumerate_cuts` merges fan-in cuts along the walk of a root's
+cone into sorted leaf tuples.
 
 Supported BLIF directives: .model, .inputs, .outputs, .names (single
-output cover), .latch (D flip-flop), .end.
+output cover), .latch (rising-edge D flip-flop: no clock type or `re`), .end.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from functools import lru_cache
 from .truthtable import TruthTable, _low_halves
 
 
-class NetlistError(Exception):
+class NetlistError(ValueError):
     pass
 
 
@@ -79,23 +78,17 @@ class Netlist:
         sources."""
         return _post_order(self, sorted(self.gates))
 
-    def program(self) -> list[tuple[str, list[str], int]]:
-        """(net, inputs, table bits) per gate of `topo_order()`."""
-        return [(net, self.gates[net].inputs, self.gates[net].table.bits)
-                for net in self.topo_order()]
-
     def step(self, pi_values: dict[str, int], state: dict[str, int],
-             program: list, ones: int = 1
+             order: list[str], ones: int = 1
              ) -> tuple[dict[str, int], dict[str, int]]:
-        """One clock cycle of this netlist's `program()`: returns (net
-        values, next latch state).  Each value is a word with one pattern
-        per bit of `ones`, such as every PI assignment at once; a latch
-        absent from state reads init in every pattern."""
+        """One clock cycle over order, this netlist's `topo_order()`:
+        returns (net values, next latch state).  Each value is a word with
+        one pattern per bit of `ones`, such as every PI assignment at once;
+        a latch absent from state reads init in every pattern."""
         values = dict(pi_values)
         for q, l in self.latches.items():
             values[q] = state.get(q, l.init * ones)
-        for net, inputs, bits in program:
-            values[net] = _read(bits, inputs, values, ones)
+        _evaluate(self, order, values, ones)
         return values, {q: values[l.d] for q, l in self.latches.items()}
 
 
@@ -125,21 +118,26 @@ def _post_order(nl: Netlist, roots: Iterable[str],
     return order
 
 
-def _read(bits: int, inputs: Sequence[str], values: dict[str, int],
-          ones: int) -> int:
-    """The table `bits` (x_1 = inputs[0]) read at every pattern of `ones`,
-    with each input's word taken from values: one path for scalar and word
-    patterns, a lookup for one pattern, else a mux tree, x_1 innermost."""
-    if ones == 1:
-        m = 0
-        for i, x in enumerate(inputs):
-            m |= values[x] << i
-        return (bits >> m) & 1
-    level = [ones if (bits >> m) & 1 else 0 for m in range(1 << len(inputs))]
-    for x in inputs:
-        w = values[x]
-        level = [lo ^ (lo ^ hi) & w for lo, hi in zip(level[::2], level[1::2])]
-    return level[0]
+def _evaluate(nl: Netlist, order: Iterable[str], values: dict[str, int],
+              ones: int) -> None:
+    """Sets values[net] for each gate of order, its table (x_1 = its first
+    input) read at every pattern of `ones` from its inputs' words in
+    values: a lookup for one pattern, else a mux tree, x_1 innermost."""
+    for net in order:
+        g = nl.gates[net]
+        if ones == 1:
+            m = 0
+            for i, x in enumerate(g.inputs):
+                m |= values[x] << i
+            values[net] = (g.table.bits >> m) & 1
+            continue
+        level = [ones if (g.table.bits >> m) & 1 else 0
+                 for m in range(1 << g.fanin)]
+        for x in g.inputs:
+            w = values[x]
+            level = [lo ^ (lo ^ hi) & w
+                     for lo, hi in zip(level[::2], level[1::2])]
+        values[net] = level[0]
 
 
 def all_patterns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
@@ -217,8 +215,10 @@ def parse_blif(text: str) -> Netlist:
             init = 0
             rest = tokens[3:]
             if len(rest) >= 2 and rest[0] in ("fe", "re", "ah", "al", "as"):
-                clock = rest[1]
-                rest = rest[2:]
+                if rest[0] != "re":
+                    raise NetlistError(f"latch type {rest[0]!r} of {q!r}: "
+                                       "only rising-edge 're' is modelled")
+                clock, rest = rest[1], rest[2:]
             if len(rest) > 1:
                 raise NetlistError(f"malformed .latch: {line!r}")
             if rest:
@@ -282,16 +282,11 @@ def write_blif(nl: Netlist, extra_lines: list[str] | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class Cut:
-    root: str
-    leaves: tuple[str, ...]  # sorted
-
-
-def enumerate_cuts(nl: Netlist, root: str, k: int = 5) -> list[Cut]:
-    """All k-feasible cuts of root, merged bottom-up over its cone in
-    topological order with dominated-cut pruning, in (size, sorted leaves)
-    order; includes the trivial cut {root}."""
+def enumerate_cuts(nl: Netlist, root: str,
+                   k: int = 5) -> list[tuple[str, ...]]:
+    """The sorted leaves of every k-feasible cut of root, merged bottom-up
+    over its cone in topological order with dominated-cut pruning, in
+    (size, leaves) order; includes the trivial cut (root,)."""
     if k > 6:
         raise ValueError("cut width limited to k <= 6")
     cuts: dict[str, list[frozenset[str]]] = {}
@@ -308,18 +303,14 @@ def enumerate_cuts(nl: Netlist, root: str, k: int = 5) -> list[Cut]:
             if not any(p <= c for p in pruned):
                 pruned.append(c)
         cuts[net] = pruned
-    return [Cut(root, tuple(sorted(leaves)))
-            for leaves in cuts.get(root, [frozenset([root])])]
+    return [tuple(sorted(c)) for c in cuts.get(root, [frozenset([root])])]
 
 
-def cut_function(nl: Netlist, cut: Cut) -> TruthTable:
-    """Truth table of the root in terms of the (sorted) leaves, by one
-    word-parallel pass over the cone; x_1 = first leaf."""
-    leaves = cut.leaves
+def cut_function(nl: Netlist, root: str, leaves: Sequence[str]) -> TruthTable:
+    """Truth table of root in terms of leaves, by one word-parallel pass
+    over its cone stopped at them; x_1 = leaves[0]."""
     if len(leaves) > 6:
         raise ValueError("cone simulation limited to 6 leaves")
     ones, values = all_patterns(leaves)
-    for net in _post_order(nl, [cut.root], leaves):
-        g = nl.gates[net]
-        values[net] = _read(g.table.bits, g.inputs, values, ones)
-    return TruthTable(len(leaves), values[cut.root])
+    _evaluate(nl, _post_order(nl, [root], leaves), values, ones)
+    return TruthTable(len(leaves), values[root])

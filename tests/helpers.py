@@ -9,7 +9,7 @@ import numpy as np
 
 from ftl import mapping
 from ftl.device import VariationSample
-from ftl.netlist import Cut, cut_function, enumerate_cuts
+from ftl.netlist import cut_function, enumerate_cuts
 from ftl.threshold import (_MAX_WEIGHT, CatalogEntry, _sorted_tables,
                            canonicalize_np, check_threshold)
 from ftl.truthtable import Polarity, TruthTable, unateness
@@ -118,8 +118,8 @@ def reference_cuts(nl, root, k):
         memo[net] = pruned
         return pruned
 
-    return sorted((Cut(root, tuple(sorted(c))) for c in cuts_of(root)),
-                  key=lambda c: (len(c.leaves), c.leaves))
+    return sorted((tuple(sorted(c)) for c in cuts_of(root)),
+                  key=lambda c: (len(c), c))
 
 
 def dead_gates_walk(nl, kept, leaves, latch):
@@ -161,28 +161,29 @@ def reference_map(nl, k=5, catalog=None):
     index = {e.table: e.index for e in catalog or ()}
     instances, removed = [], 0
     for q in sorted(nl.latches):
-        if work.latches[q].d not in work.gates:
+        root = work.latches[q].d
+        if root not in work.gates:
             continue
         kept = {leaf for inst in instances for leaf in inst.leaves}
         best = None
-        for cut in enumerate_cuts(work, work.latches[q].d, k):
-            if cut.leaves == (cut.root,):
+        for leaves in enumerate_cuts(work, root, k):
+            if leaves == (root,):
                 continue
-            tt = cut_function(work, cut)
+            tt = cut_function(work, root, leaves)
             tf = check_threshold(tt)
             if tf is None:
                 continue
-            dead = dead_gates_walk(work, kept, cut.leaves, q)
+            dead = dead_gates_walk(work, kept, leaves, q)
             saving = (sum(mapping._gate_area(work.gates[g]) for g in dead)
                       + mapping.DFF_AREA - mapping.FTL_AREA)
-            key = (-saving, len(cut.leaves), cut.leaves)
+            key = (-saving, len(leaves), leaves)
             if saving > 0 and (best is None or key < best[0]):
-                best = (key, cut, tt, tf, dead)
+                best = (key, tt, tf, dead)
         if best is None:
             continue
-        _, cut, tt, tf, dead = best
+        (_, _, leaves), tt, tf, dead = best
         instances.append(mapping.FtlInstance(
-            q, cut.leaves, tt, tf,
+            q, leaves, tt, tf,
             None if tt.is_constant() else index.get(canonicalize_np(tt))))
         del work.latches[q]
         for g in dead:

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 T, M, D, R = ("tests/test_threshold.py", "tests/test_mapping.py",
               "tests/test_device.py", "tests/test_train.py")
 TT, C = "tests/test_truthtable.py", "tests/test_cli.py"
+N = "tests/test_netlist.py"
 
 MUTANTS = [
     Mutant("name-threshold-shift-negative",
@@ -87,6 +88,28 @@ MUTANTS = [
            "np.subtract(*conductances(cell))).min()",
            "np.subtract(*conductances(cell))).max()",
            (f"{D}::test_table_checks_equal_per_minterm_evaluate",)),
+    Mutant("map-ranking-reversed",
+           "src/ftl/mapping.py",
+           "sorted(ranked)",
+           "sorted(ranked, reverse=True)",
+           (f"{M}::test_map_equals_exhaustive_reference",)),
+    Mutant("evaluate-mux-swapped",
+           "src/ftl/netlist.py",
+           "level = [lo ^ (lo ^ hi) & w\n",
+           "level = [hi ^ (lo ^ hi) & w\n",
+           (f"{N}::test_word_step_equals_scalar_steps",
+            f"{N}::test_cone_order_gives_whole_netlist_order_table")),
+    Mutant("evaluate-lookup-shifted",
+           "src/ftl/netlist.py",
+           "m |= values[x] << i\n",
+           "m |= values[x] << (i ^ 1)\n",
+           (f"{M}::test_verdicts_match_per_call_step",)),
+    Mutant("latch-type-unchecked",
+           "src/ftl/netlist.py",
+           '                if rest[0] != "re":\n',
+           "                if False:\n",
+           (f"{N}::test_parse_rejects_latch_types_but_rising_edge",
+            f"{C}::test_map_rejects_falling_edge_latch")),
     Mutant("export-pol-positive-weights",
            "src/ftl/mapping.py",
            "enumerate(inst.weights.weights) if w < 0)",

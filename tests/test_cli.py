@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, reproducibility."""
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -221,6 +222,30 @@ def test_map_latch_with_tokens_past_the_init(runner, tmp_path):
     r = runner.invoke(main, ["map", str(bad), "--out", str(tmp_path)])
     assert r.exit_code == 2
     assert "malformed .latch" in r.output
+
+
+def test_map_rejects_falling_edge_latch(runner, tmp_path):
+    """Only rising-edge registers are modelled: an `fe` latch exits 2 and
+    creates no output directory, where it used to be mapped as `re`."""
+    blif = tmp_path / "fe.blif"
+    blif.write_text(".model seq\n.inputs a b\n.outputs q\n.names a b d\n11 1\n"
+                    ".latch d q fe clk 0\n.end\n")
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["map", str(blif), "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "latch type 'fe'" in r.output
+    assert not out.exists()
+
+
+def test_map_closes_its_input(runner, tmp_path):
+    """map reads the BLIF inside a with block, so no ResourceWarning for
+    an unclosed file is raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        r = runner.invoke(main, ["map", f"{CORPUS}/xor_ring.blif", "--out",
+                                 str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "# no netlist here\n"])

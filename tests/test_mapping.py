@@ -182,7 +182,7 @@ def feedback_design(seed, n_pis):
     return parse_blif("\n".join(lines) + "\n")
 
 
-def test_verdicts_match_per_call_step(catalog):
+def test_verdicts_match_per_call_step(catalog, monkeypatch):
     cases = []
     for name in ("fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif"):
         nl = load(name)
@@ -240,11 +240,12 @@ def test_verdicts_match_per_call_step(catalog):
     cofactor = sum(inst.function.value(2 * m + 1) << m for m in range(16))
     cases.append((nl, replace(design, instances=[replace(
         inst, leaves=inst.leaves[1:], function=TruthTable(4, cofactor))])))
-    # With cycles=0 every divergence is found by the sweep.
+    # With no random cycle every divergence is found by the sweep.
     for nl, design in cases:
         for cycles in (0, 1, 5, 64, 65):
+            monkeypatch.setattr(mapping, "RANDOM_CYCLES", cycles)
             for seed in (0, 5):
-                report = verify_equivalence(nl, design, cycles, seed)
+                report = verify_equivalence(nl, design, stimuli_seed=seed)
                 assert (report.equivalent, report.cycles_checked,
                         report.first_divergence) == \
                     reference_report(nl, design, cycles, seed), nl.model
@@ -259,7 +260,8 @@ def test_verdicts_match_per_call_step(catalog):
         [True, True, True, False, False, True, False, False] + \
         [True, False, False, False, False, False, False, False] + \
         [False, False, False]
-    assert [verify_equivalence(nl, design, 0).first_divergence
+    monkeypatch.setattr(mapping, "RANDOM_CYCLES", 0)
+    assert [verify_equivalence(nl, design).first_divergence
             for nl, design in cases[6:8]] == [(28, "gq"), (28, "fq")]
 
 
@@ -518,13 +520,13 @@ def test_per_latch_dead_set_equals_whole_netlist_walk(name):
     checked = 0
     for q, latch in sorted(nl.latches.items()):
         cuts = enumerate_cuts(nl, latch.d, 5)
-        for kept in (set(), set(cuts[-1].leaves)):
+        for kept in (set(), set(cuts[-1])):
             refs = refs_of(nl, kept)
-            for cut in cuts:
-                dead = mapping._dead_gates(nl, refs, latch.d, cut.leaves)
+            for leaves in cuts:
+                dead = mapping._dead_gates(nl, refs, latch.d, leaves)
                 assert len(dead) == len(set(dead))
                 assert set(dead) == dead_gates_walk(
-                    nl, kept, cut.leaves, q), (q, kept, cut.leaves)
+                    nl, kept, leaves, q), (q, kept, leaves)
                 checked += 1
     assert checked
 
