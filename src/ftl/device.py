@@ -137,18 +137,21 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _pcg64_seeds(seed: int, trials: np.ndarray) -> np.ndarray:
+def _pcg64_seeds(seed: int, trials: np.ndarray | None = None) -> np.ndarray:
     """SeedSequence((seed, t)).generate_state(4, np.uint64) of every trial t,
-    [len(trials), 4]: numpy's pool-of-4 hash (stable by NEP 19) run on
-    all trials at once, one column per trial."""
+    [len(trials), 4], or SeedSequence(seed)'s, [1, 4], with no trials:
+    numpy's pool-of-4 hash (stable by NEP 19) run on all trials at once,
+    one column per trial."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     # SeedSequence splits an int into 32-bit words, low first.
     words = [seed >> s & _MASK32
              for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((max(4, len(words) + 1), len(trials)), np.uint32)
+    entropy = np.zeros((max(4, len(words) + (trials is not None)),
+                        1 if trials is None else len(trials)), np.uint32)
     entropy[:len(words)] = np.array(words, np.uint32)[:, None]
-    entropy[len(words)] = trials
+    if trials is not None:
+        entropy[len(words)] = trials
     consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy) + 1)
     pool = _hashmix(entropy[:4], consts[:5])
     k = 4

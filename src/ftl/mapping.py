@@ -19,16 +19,19 @@ TCAD 2000).  Only a design the proof cannot close is co-simulated: both
 designs step together through random cycles, stopping early once the
 proof's induction covers the cycles left, then through the exhaustive
 single-cycle sweep, and the first diverging cycle and signal are named.
+The random stimuli are numpy's np.random.default_rng(seed).integers(0, 2,
+...) stream, drawn bit for bit without importing numpy.random.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from .device import _pcg64_seeds
 from .netlist import (Gate, Latch, Netlist, all_patterns, cut_function,
                       enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, check_threshold, class_name
@@ -47,6 +50,8 @@ GATE_DELAY_BASE = 20e-12
 GATE_DELAY_PER_FANIN = 10e-12
 # Random cycles co-simulated before the single-cycle sweep.
 RANDOM_CYCLES = 64
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
+_MASK128 = (1 << 128) - 1
 
 
 def _gate_area(gate) -> float:
@@ -232,6 +237,25 @@ def _corresponds(original: Netlist, mapped: MappedDesign) -> bool:
         return False
 
 
+def _stimulus_bits(seed: int) -> Iterator[int]:
+    """np.random.default_rng(seed).integers(0, 2, size)'s bits, row-major,
+    drawn lazily without numpy.random.  PCG64 (O'Neill 2014), seeded by
+    SeedSequence(seed) from state 0 (step, add, step), steps and then
+    outputs rotr64(hi ^ lo, state >> 122); each 32-bit half, low first,
+    gives its top bit, as Lemire's draw over {0, 1} never rejects."""
+    s0, s1, s2, s3 = _pcg64_seeds(operator.index(seed)).tolist()[0]
+    inc = (s2 << 64 | s3) << 1 | 1
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+
+    def bits(state):
+        while True:
+            state = (state * _PCG_MULT + inc) & _MASK128
+            word, rot = state >> 64 ^ state, state >> 122
+            yield word >> (31 + rot & 63) & 1  # bit 31 of the rotated word
+            yield word >> (63 + rot & 63) & 1  # bit 63
+    return bits(state)
+
+
 def verify_equivalence(
     original: Netlist,
     mapped: MappedDesign,
@@ -253,15 +277,19 @@ def verify_equivalence(
     Otherwise the designs are co-simulated: RANDOM_CYCLES random stimuli,
     one scalar step per design and cycle from each side's own reset, then
     every single-cycle PI pattern from reset when there are at most 10 PIs,
-    in one word step per design.  An output is compared by its value, a
-    register by its next state.  A divergence names the first cycle, sweep
-    pattern m counting as cycle RANDOM_CYCLES + m, and within it the first
-    signal in sorted order.  Once the correspondence holds and a random
-    cycle ends in equal states, the same induction covers the cycles left,
-    so the random phase stops there.  Foreign registers, PIs or outputs, or
-    nets not driven once, raise ValueError naming one, before either path
-    runs; so does a combinational loop, once co-simulated: a proven design
-    cannot loop, as its residual gates are the original's."""
+    in one word step per design.  The stimuli are the rows of numpy's
+    default_rng(stimuli_seed).integers(0, 2, (RANDOM_CYCLES, PIs)), drawn
+    by `_stimulus_bits` as far as the loop reaches; a negative seed raises
+    ValueError once co-simulation starts.  An output is compared by its
+    value, a register by its next state.  A divergence names the first
+    cycle, sweep pattern m counting as cycle RANDOM_CYCLES + m, and within
+    it the first signal in sorted order.  Once the correspondence holds and
+    a random cycle ends in equal states, the same induction covers the
+    cycles left, so the random phase stops there.  Foreign registers, PIs
+    or outputs, or nets not driven once, raise ValueError naming one,
+    before either path runs; so does a combinational loop, once
+    co-simulated: a proven design cannot loop, as its residual gates are
+    the original's."""
     pis = original.inputs
     registers = [*mapped.netlist.latches, *(i.q for i in mapped.instances)]
     for theirs, ours in ((registers, [*original.latches]),
@@ -290,11 +318,10 @@ def verify_equivalence(
                                  proved=True)
     designs = [(nl, nl.topo_order()) for nl in (original, flat)]
     watch = sorted(set(original.latches) | set(original.outputs))
-    stimuli = np.random.default_rng(stimuli_seed).integers(
-        0, 2, size=(cycles, len(pis)))
+    bits = _stimulus_bits(stimuli_seed)
     states = resets
-    for c, row in enumerate(stimuli.tolist()):
-        pi_values = dict(zip(pis, row))
+    for c in range(cycles):
+        pi_values = dict(zip(pis, bits))  # stops at pis' end, drawing none
         steps = [nl.step(pi_values, state, order)
                  for (nl, order), state in zip(designs, states)]
         vals = [values | nxt for values, nxt in steps]

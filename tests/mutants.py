@@ -93,6 +93,34 @@ MUTANTS = [
            "sorted(ranked)",
            "sorted(ranked, reverse=True)",
            (f"{M}::test_map_equals_exhaustive_reference",)),
+    Mutant("stimuli-halves-swapped",
+           "src/ftl/mapping.py",
+           "            yield word >> (31 + rot & 63) & 1  # bit 31 of the "
+           "rotated word\n"
+           "            yield word >> (63 + rot & 63) & 1  # bit 63\n",
+           "            yield word >> (63 + rot & 63) & 1\n"
+           "            yield word >> (31 + rot & 63) & 1\n",
+           (f"{M}::test_stimulus_bits_equal_numpy_matrix",
+            f"{M}::test_stimulus_matrix_equals_per_call_stream",
+            f"{M}::test_verdicts_match_per_call_step")),
+    Mutant("stimuli-rotation-off",
+           "src/ftl/mapping.py",
+           "word, rot = state >> 64 ^ state, state >> 122\n",
+           "word, rot = state >> 64 ^ state, state >> 121\n",
+           (f"{M}::test_stimulus_bits_equal_numpy_matrix",
+            f"{M}::test_stimulus_matrix_equals_per_call_stream",
+            f"{M}::test_verdicts_match_per_call_step")),
+    # SeedSequence((seed, 0)) equals SeedSequence(seed) below 2^96 only.
+    Mutant("stimuli-seed-with-trial-word",
+           "src/ftl/mapping.py",
+           "_pcg64_seeds(operator.index(seed))",
+           "_pcg64_seeds(operator.index(seed), [0])",
+           (f"{M}::test_stimulus_bits_equal_numpy_matrix",)),
+    Mutant("map-imports-numpy-random",
+           "src/ftl/mapping.py",
+           "import operator\n",
+           "import operator\nimport numpy.random\n",
+           (f"{M}::test_cosimulation_leaves_numpy_random_unloaded",)),
     Mutant("evaluate-mux-swapped",
            "src/ftl/netlist.py",
            "level = [lo ^ (lo ^ hi) & w\n",

@@ -8,6 +8,7 @@ stream to the terminal).
 import io
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +178,7 @@ def test_criterion_10_quantization_safety(catalog, trained117):
 def run_mapping():
     designs = {}
     for name in ("fig2_hybrid", "f115_nandinv", "xor_ring"):
-        nl = parse_blif(open(f"{CORPUS}/{name}.blif").read())
+        nl = parse_blif(Path(f"{CORPUS}/{name}.blif").read_text())
         designs[name] = (nl, map_ftl(nl))
     return designs
 

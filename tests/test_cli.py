@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -215,7 +216,7 @@ def test_map_malformed_blif(runner, tmp_path):
 def test_map_latch_with_tokens_past_the_init(runner, tmp_path):
     """A .latch line ends at its init: a token after it exits 2, where it
     used to map with the token ignored."""
-    text = open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+    text = Path(f"{CORPUS}/f115_nandinv.blif").read_text().replace(
         ".latch f fq re clk 0", ".latch f fq re clk 1 extra")
     bad = tmp_path / "bad.blif"
     bad.write_text(text)

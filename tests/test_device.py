@@ -159,6 +159,12 @@ def test_stream_seeds_equal_seed_sequence():
             assert np.array_equal(row, expect), (seed, t)
 
 
+def test_seed_only_words_equal_seed_sequence():
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**95, 2**96, 2**127 + 5):
+        expect = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert np.array_equal(_pcg64_seeds(seed), expect[None]), seed
+
+
 @pytest.mark.parametrize("sigmas", [(0.02, 0.012, 0.05), (0.02, 0.0, 0.05),
                                     (0.0, 0.012, 0.0), (0.02, 0.012, 0.0),
                                     (0.0, 0.0, 0.05), (0.0, 0.0, 0.0)])

@@ -2,8 +2,12 @@
 
 import copy
 import io
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +23,11 @@ from helpers import (dead_gates_walk, reference_cuts, reference_map,
                      refs_of, scalar_step)
 
 CORPUS = "src/ftl/corpus"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def load(name):
-    return parse_blif(open(f"{CORPUS}/{name}").read())
+    return parse_blif(Path(f"{CORPUS}/{name}").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -191,14 +196,14 @@ def test_verdicts_match_per_call_step(catalog, monkeypatch):
     cases.append((nl, flip_minterms(map_ftl(nl, catalog=catalog), [3])))
     # A reset-to-1 register read by an output: the mapped cell resets to 0,
     # so the designs diverge at the first cycle with a = 1.
-    text = open(f"{CORPUS}/f115_nandinv.blif").read()
+    text = Path(f"{CORPUS}/f115_nandinv.blif").read_text()
     text = text.replace(".outputs fq", ".outputs fq y").replace(
         ".latch f fq re clk 0", ".latch f fq re clk 1\n.names fq a y\n11 1")
     nl = parse_blif(text)
     cases.append((nl, map_ftl(nl, catalog=catalog)))
     assert len(cases[-1][1].instances) == 1
     # A PI read through an inverter: the cell takes that leaf complemented.
-    text = open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+    text = Path(f"{CORPUS}/f115_nandinv.blif").read_text().replace(
         ".inputs a ", ".inputs an ").replace(".end", ".names an a\n0 1\n.end")
     nl = parse_blif(text)
     design = map_ftl(nl, catalog=catalog)
@@ -328,7 +333,7 @@ def test_cosimulation_stops_once_states_correspond(catalog, monkeypatch):
         calls.append(args)
         return step(*args, **kwargs)
     monkeypatch.setattr(Netlist, "step", counted)
-    nl = parse_blif(open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+    nl = parse_blif(Path(f"{CORPUS}/f115_nandinv.blif").read_text().replace(
         ".latch f fq re clk 0", ".latch f fq re clk 1"))
     design = map_ftl(nl, catalog=catalog)
     report = verify_equivalence(nl, design)
@@ -361,6 +366,52 @@ def test_stimulus_matrix_equals_per_call_stream(seed):
                     for _ in range(64)]
         matrix = np.random.default_rng(seed).integers(0, 2, size=(64, n_pis))
         assert matrix.tolist() == per_call, n_pis
+        bits = mapping._stimulus_bits(seed)
+        assert [[next(bits) for _ in range(n_pis)] for _ in range(64)] == \
+            per_call, n_pis
+
+
+@pytest.mark.parametrize("seed", [*range(50), 2**32 - 1, 2**32, 2**40 + 7,
+                                  2**64 + 3, 2**95, 2**127 + 5, 2**200 + 11])
+def test_stimulus_bits_equal_numpy_matrix(seed):
+    """verify_equivalence's stimuli, drawn without numpy.random, are the
+    rows numpy draws, at every width; seeds of 2^96 and up hash more than
+    the pool's four words."""
+    for n_pis in (*range(12), 33):
+        bits = mapping._stimulus_bits(seed)
+        rows = [[next(bits) for _ in range(n_pis)] for _ in range(64)]
+        assert rows == np.random.default_rng(seed).integers(
+            0, 2, size=(64, n_pis)).tolist(), n_pis
+
+
+def test_negative_seed_raises_once_cosimulated(catalog):
+    nl = load("f115_nandinv.blif")
+    assert verify_equivalence(nl, map_ftl(nl, catalog=catalog),
+                              stimuli_seed=-1).proved
+    nl = parse_blif(Path(CORPUS, "f115_nandinv.blif").read_text().replace(
+        ".latch f fq re clk 0", ".latch f fq re clk 1"))
+    with pytest.raises(ValueError):
+        verify_equivalence(nl, map_ftl(nl, catalog=catalog), stimuli_seed=-1)
+
+
+def test_cosimulation_leaves_numpy_random_unloaded():
+    """A co-simulated design, f115_nandinv with its latch reset to 1, is
+    checked in a fresh interpreter without loading numpy.random."""
+    script = f"""if True:
+        import sys
+        from pathlib import Path
+        from ftl.mapping import map_ftl, verify_equivalence
+        from ftl.netlist import parse_blif
+        nl = parse_blif(Path({CORPUS!r}, "f115_nandinv.blif").read_text()
+                        .replace(".latch f fq re clk 0", ".latch f fq re clk 1"))
+        report = verify_equivalence(nl, map_ftl(nl))
+        print(report.proved, report.equivalent, "numpy.random" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True", "False"]
 
 
 # A leaf's fan-in re-enters the cone: cut {a, b, l} of d has cone {d, g},
@@ -392,7 +443,7 @@ REENTER = """.model reenter
 def reader_of(net):
     """f115_nandinv plus a dangling gate zz that reads net, which lies
     inside the latch's cone."""
-    text = open(f"{CORPUS}/f115_nandinv.blif").read()
+    text = Path(f"{CORPUS}/f115_nandinv.blif").read_text()
     return text.replace(".latch", f".names {net} zz\n1 1\n.latch")
 
 
@@ -490,7 +541,7 @@ UNSHARED = """.model unshared
 
 DESIGNS = {"reenter": REENTER, "nb_reader": reader_of("nb"),
            "t1_reader": reader_of("t1"), "twice": TWICE,
-           "nb_output": open(f"{CORPUS}/f115_nandinv.blif").read().replace(
+           "nb_output": Path(CORPUS, "f115_nandinv.blif").read_text().replace(
                ".outputs fq", ".outputs fq nb"),
            "shared": SHARED, "deeper": DEEPER, "unshared": UNSHARED}
 NAMES = ["fig2_hybrid.blif", "f115_nandinv.blif", "xor_ring.blif", *DESIGNS]
@@ -667,7 +718,7 @@ def test_deep_chain_maps_without_recursion(catalog):
 def test_dangling_gate_kept_and_not_counted(catalog):
     """A gate nothing references is no saving of the cut that replaces the
     cone: it stays in mapped.blif and out of cells_removed."""
-    text = open(f"{CORPUS}/f115_nandinv.blif").read()
+    text = Path(f"{CORPUS}/f115_nandinv.blif").read_text()
     dangling = text.replace(".latch", ".names a z\n0 1\n.latch")
     plain = map_ftl(parse_blif(text), catalog=catalog)
     design = map_ftl(parse_blif(dangling), catalog=catalog)

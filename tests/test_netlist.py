@@ -1,5 +1,7 @@
 """BLIF parsing, cut enumeration, and cone function extraction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,7 +163,7 @@ def test_word_step_equals_scalar_steps(name):
     and next-state word, what a scalar step of pattern m gives: from reset
     and from one seeded random state."""
     nl = parse_blif(MUX_LATCH if name == "mux_latch" else
-                    open(f"src/ftl/corpus/{name}.blif").read())
+                    Path(f"src/ftl/corpus/{name}.blif").read_text())
     ones, words = all_patterns(nl.inputs)
     assert ones == (1 << (1 << len(nl.inputs))) - 1
     rng = np.random.default_rng(0)
@@ -234,7 +236,7 @@ def test_cut_function_trivial_identity():
 
 
 def test_f115_cone_function():
-    text = open("src/ftl/corpus/f115_nandinv.blif").read()
+    text = Path("src/ftl/corpus/f115_nandinv.blif").read_text()
     nl = parse_blif(text)
     root = nl.latches["fq"].d
     cuts = enumerate_cuts(nl, root, k=5)
@@ -247,7 +249,7 @@ def test_cone_order_gives_whole_netlist_order_table():
     the corpus gets the table a whole-netlist order gives."""
     checked = 0
     for name in CORPUS:
-        nl = parse_blif(open(f"src/ftl/corpus/{name}.blif").read())
+        nl = parse_blif(Path(f"src/ftl/corpus/{name}.blif").read_text())
         whole = nl.topo_order()
         for latch in nl.latches.values():
             if latch.d not in nl.gates:
