@@ -1,5 +1,7 @@
 """Command-line entry point for catalog building, cell training, the
-robustness/yield/voltage/timing experiments, and BLIF mapping.
+robustness/yield/voltage/timing experiments, and BLIF mapping.  Each
+command imports the modules it runs: `catalog` loads no numpy, and `map`
+loads it only to co-simulate a design the equivalence proof cannot close.
 
 Every command writes plain CSV reports (so each can be re-plotted
 externally), then `manifest.json`, the fully resolved configuration, and
@@ -22,10 +24,7 @@ from datetime import datetime, timezone
 
 import click
 
-from . import analysis, mapping, netlist, threshold
-from .device import DeviceParams, verify_cell
-from .train import (TrainConfig, TrainingError, kmax_bound, train,
-                    write_trace_csv)
+from . import threshold
 from .truthtable import parse_truth_table, to_positive_form
 
 EXIT_VALIDATION = 2
@@ -97,7 +96,8 @@ def _resolve_function(spec: str):
     raise CliError(f"unrecognized function spec {spec!r}", EXIT_VALIDATION)
 
 
-def _device_params(vdd: float) -> DeviceParams:
+def _device_params(vdd: float):
+    from .device import DeviceParams
     try:
         return DeviceParams(vdd=vdd)
     except ValueError as e:
@@ -139,6 +139,7 @@ def cmd_catalog(n_max, out):
 def cmd_train(spec, robust, vdd, out):
     """Train a cell for a function given as hex:<digits>:<n>, cat:<index>,
     or the name f115."""
+    from .train import TrainConfig, TrainingError, train, write_trace_csv
     tt = _resolve_function(spec)
     try:
         tf = threshold.check_threshold(tt)
@@ -149,8 +150,9 @@ def cmd_train(spec, robust, vdd, out):
     positive, mask = to_positive_form(tt)
     params = _device_params(vdd)
     if robust:
+        from .analysis import margin_schedule
         try:
-            top = analysis.margin_schedule(positive, params)[-1]
+            top = margin_schedule(positive, params)[-1]
         except TrainingError as e:
             raise CliError(str(e), EXIT_CONVERGENCE)
         result, achieved = top.result, top.margin
@@ -171,6 +173,7 @@ def cmd_train(spec, robust, vdd, out):
 
 
 def _exp_iterations(params, mc, scenario):
+    from .train import kmax_bound, train
     entries = threshold.build_catalog(5)
     rows = [["index", "n", "canonical_hex", "iterations", "kmax", "converged"]]
     for e in entries:
@@ -183,10 +186,12 @@ def _exp_iterations(params, mc, scenario):
 
 
 def _f115_schedule(params):
+    from . import analysis
     return analysis.margin_schedule(threshold.f115_table(), params)
 
 
 def _exp_yield_sweep(params, mc, scenario):
+    from . import analysis
     tt = threshold.f115_table()
     rows = [["margin", "min_separation", "worst_delay", "yield"]]
     for lv in _f115_schedule(params):
@@ -197,6 +202,7 @@ def _exp_yield_sweep(params, mc, scenario):
 
 
 def _exp_conductivity(params, mc, scenario):
+    from . import analysis
     tt = threshold.f115_table()
     levels = _f115_schedule(params)
     out = {}
@@ -208,6 +214,7 @@ def _exp_conductivity(params, mc, scenario):
 
 
 def _exp_vdd_sweep(params, mc, scenario):
+    from . import analysis
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
     points = analysis.vdd_sweep(lv.result.cell, tt)
@@ -215,6 +222,7 @@ def _exp_vdd_sweep(params, mc, scenario):
 
 
 def _exp_delay_hist(params, mc, scenario):
+    from . import analysis
     tt = threshold.f115_table()
     lv = _f115_schedule(params)[-1]
     rep = analysis.yield_mc(lv.result.cell, tt, mc)
@@ -222,9 +230,10 @@ def _exp_delay_hist(params, mc, scenario):
 
 
 def _exp_timing_fix(params, mc, scenario):
+    from . import analysis, device
     tt = threshold.f115_table()
     fix = analysis.run_timing_fix(tt, params, scenario)
-    ok = verify_cell(fix.cell_after, tt)
+    ok = device.verify_cell(fix.cell_after, tt)
     rows = [["stage", "launch_c2q", "setup_slack", "hold_slack", "violations",
              "verified"],
             ["before", f"{fix.delay_before:.6e}",
@@ -258,6 +267,8 @@ EXPERIMENTS = {
 def cmd_experiments(name, args, trials, vdd, seed, out):
     """Run a named experiment: iterations | yield-sweep | conductivity |
     vdd-sweep | delay-hist | timing-fix [setup|hold]."""
+    from . import analysis
+    from .train import TrainingError
     if len(args) > (name == "timing-fix"):
         raise CliError(f"unexpected arguments to {name}: {' '.join(args)}",
                        EXIT_VALIDATION)
@@ -284,6 +295,7 @@ def cmd_experiments(name, args, trials, vdd, seed, out):
 @out_option
 def cmd_map(blif, k, seed, out):
     """Map threshold cones of a BLIF netlist onto FTL cells."""
+    from . import mapping, netlist
     try:
         with open(blif, encoding="utf-8") as fp:
             text = fp.read()

@@ -31,7 +31,6 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .device import _pcg64_seeds
 from .netlist import (Gate, Latch, Netlist, all_patterns, cut_function,
                       enumerate_cuts, write_blif)
 from .threshold import ThresholdFunction, check_threshold, class_name
@@ -243,6 +242,7 @@ def _stimulus_bits(seed: int) -> Iterator[int]:
     SeedSequence(seed) from state 0 (step, add, step), steps and then
     outputs rotr64(hi ^ lo, state >> 122); each 32-bit half, low first,
     gives its top bit, as Lemire's draw over {0, 1} never rejects."""
+    from .device import _pcg64_seeds  # numpy: only co-simulation loads it
     s0, s1, s2, s3 = _pcg64_seeds(operator.index(seed)).tolist()[0]
     inc = (s2 << 64 | s3) << 1 | 1
     state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128

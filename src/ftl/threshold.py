@@ -7,6 +7,8 @@ naming share one key: the positive form of a table on its support, inputs
 sorted by descending Chow parameter.  Each non-constant key maps to its
 minimum-sum non-increasing weight vector W* and the smallest T it
 realizes the key with; W* mapped back through the sort is the answer.
+The table is integer work: a vector's minterms grouped by score give
+each table it realizes as the union of the groups at or above T.
 
 The lookup is exact because the minimum-sum realization is unique (Chow
 1961; Muroga 1971).  If chow_i > chow_j, every realization has w_i > w_j,
@@ -52,16 +54,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .truthtable import (
-    Polarity,
-    TruthTable,
-    apply_complements,
-    chow_parameters,
-    permute_inputs,
-    unateness,
-)
+from .truthtable import (Polarity, TruthTable, apply_complements,
+                         chow_parameters, permute_inputs, unateness)
 
 _MAX_WEIGHT = (0, 1, 1, 2, 3, 5, 9)  # indexed by input count
 _SOLVER_MAX_INPUTS = len(_MAX_WEIGHT) - 1
@@ -73,36 +67,34 @@ class ThresholdFunction:
     threshold: int
 
 
-def _minterm_matrix(n: int) -> np.ndarray:
-    m = np.arange(1 << n)
-    return ((m[:, None] >> np.arange(n)) & 1).astype(np.int64)
+def _score_sets(weights) -> dict[int, int]:
+    """{score: its minterms as table bits}: minterm m scores the weights of
+    the inputs at 1 in m.  Input i doubles the table, shifting the minterms
+    so far up by 2^i at score + weights[i]."""
+    sets = {0: 1}
+    for i, w in enumerate(weights):
+        for score, bits in list(sets.items()):
+            sets[score + w] = sets.get(score + w, 0) | bits << (1 << i)
+    return sets
 
 
 @lru_cache(maxsize=8)
-def _sorted_tables(n: int,
-                   bound: int) -> dict[int, tuple[tuple[int, ...], int]]:
+def _sorted_tables(n: int) -> dict[int, tuple[tuple[int, ...], int]]:
     """{non-constant positive table: (W*, T)}: the non-increasing vector in
-    [0, bound]^n of smallest sum that realizes the table, and the smallest
-    threshold it does so with.  Shared: never mutate.  Vectors are scored
-    in the narrowest dtype (no partial sum of nonnegative weights
-    overflows) and each row packs to one key."""
-    dtype = np.min_scalar_type(bound * n)
-    mm = _minterm_matrix(n).astype(dtype)
-    sums: dict[int, int] = {}
+    [0, _MAX_WEIGHT[n]]^n of smallest sum that realizes the table, and the
+    smallest threshold it does so with.  Shared: never mutate.  Vectors
+    come in ascending sum, so a table's first hit is its W*; each vector
+    reaches each of its tables once, from the top score down, at one above
+    the next lower score."""
     best: dict[int, tuple[tuple[int, ...], int]] = {}
-    w = np.asarray(list(itertools.combinations_with_replacement(
-        range(bound, -1, -1), n)), dtype=dtype)
-    w = w[np.argsort(w.sum(axis=1, dtype=np.int64))]
-    row_sums, scores = w.sum(axis=1, dtype=np.int64), w @ mm.T
-    for t in range(1, int(scores.max()) + 1):
-        packed = np.packbits(scores >= t, axis=1, bitorder="little")
-        keys = packed.view(f"<u{packed.shape[1]}")[:, 0]
-        tables, first = np.unique(keys, return_index=True)
-        for bits, total, row in zip(tables.tolist(), row_sums[first].tolist(),
-                                    first.tolist()):
-            if bits and total < sums.get(bits, total + 1):
-                sums[bits] = total
-                best[bits] = (tuple(w[row].tolist()), t)
+    for w in sorted(itertools.combinations_with_replacement(
+            range(_MAX_WEIGHT[n], -1, -1), n), key=sum):
+        sets = _score_sets(w)
+        scores = sorted(sets, reverse=True)
+        bits = 0
+        for score, below in zip(scores, scores[1:]):
+            bits |= sets[score]
+            best.setdefault(bits, (w, below + 1))
     return best
 
 
@@ -121,8 +113,7 @@ def _chow_sort(tt: TruthTable):
     chow = chow_parameters(pos)
     used = tuple(sorted((i for i, p in enumerate(pol)
                          if p is not Polarity.UNUSED), key=lambda i: -chow[i]))
-    found = _sorted_tables(len(used), _MAX_WEIGHT[len(used)]).get(
-        permute_inputs(pos, used).bits)
+    found = _sorted_tables(len(used)).get(permute_inputs(pos, used).bits)
     return None if found is None else (mask, used, found)
 
 
@@ -154,7 +145,7 @@ def count_threshold_functions(n: int) -> int:
     if not 0 <= n <= _SOLVER_MAX_INPUTS:
         raise ValueError(f"count handles 0 <= n <= {_SOLVER_MAX_INPUTS}, got {n}")
     count = 2
-    for bits in _sorted_tables(n, _MAX_WEIGHT[n]):
+    for bits in _sorted_tables(n):
         tt = TruthTable(n, bits)
         groups = Counter(chow_parameters(tt)).values()
         orders = math.factorial(n) // math.prod(map(math.factorial, groups))
@@ -202,24 +193,20 @@ def build_catalog(n_max: int = 5) -> list[CatalogEntry]:
 
     The classes are the keys (W*, T) on n_max inputs, relabelled: every
     input complemented, the used ones (they lead) reversed, the realization
-    named by class_name.  No class is re-detected; one product checks all."""
+    named by class_name.  No class is re-detected; each entry's score sets
+    check its table."""
     if not 1 <= n_max <= 5:
         raise ValueError(f"catalog limited to 1 <= n_max <= 5, got {n_max}")
     found = []
-    for bits, (w, t) in _sorted_tables(n_max, _MAX_WEIGHT[n_max]).items():
+    for bits, (w, t) in _sorted_tables(n_max).items():
         tt = permute_inputs(apply_complements(TruthTable(n_max, bits),
                                               (1 << n_max) - 1),
                             tuple(range(n_max - w.count(0) - 1, -1, -1)))
         found.append((tt, class_name(ThresholdFunction(w, t))))
     found.sort(key=lambda e: (e[0].n, e[0].bits))
-    # Zero weights pad each entry to n_max inputs, so its table is the low
-    # 2^n minterms of the realization's.
-    weights = np.array([f.weights + (0,) * (n_max - tt.n) for tt, f in found])
-    on = (weights @ _minterm_matrix(n_max).T
-          >= np.array([[f.threshold] for _, f in found]))
-    tables = on @ (1 << np.arange(1 << n_max, dtype=np.int64))
-    for (tt, _), bits in zip(found, tables.tolist()):
-        if bits & ((1 << tt.size) - 1) != tt.bits:
+    for tt, f in found:  # the score sets are disjoint: sum is union
+        if sum(bits for score, bits in _score_sets(f.weights).items()
+               if score >= f.threshold) != tt.bits:
             raise RuntimeError(f"catalog table {tt} lost its realization")
     return [CatalogEntry(i, tt.n, tt, tf) for i, (tt, tf) in enumerate(found)]
 

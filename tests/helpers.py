@@ -10,8 +10,8 @@ import numpy as np
 from ftl import mapping
 from ftl.device import VariationSample
 from ftl.netlist import cut_function, enumerate_cuts
-from ftl.threshold import (_MAX_WEIGHT, CatalogEntry, _sorted_tables,
-                           canonicalize_np, check_threshold)
+from ftl.threshold import (_MAX_WEIGHT, CatalogEntry, canonicalize_np,
+                           check_threshold)
 from ftl.truthtable import Polarity, TruthTable, unateness
 
 
@@ -224,12 +224,44 @@ def reference_worst_path(nl, instances):
                 *map(arrival, nl.outputs)])
 
 
+def minterm_matrix(n):
+    """[2^n, n]: row m holds minterm m's input bits, x_1 first."""
+    m = np.arange(1 << n)
+    return ((m[:, None] >> np.arange(n)) & 1).astype(np.int64)
+
+
+@lru_cache(maxsize=16)
+def reference_sorted_tables(n, bound):
+    """threshold._sorted_tables by numpy over [0, bound]^n: every
+    non-increasing vector is scored on every minterm by one product, each
+    threshold's rows pack to table keys, and a table keeps the vector of
+    smallest sum (the first in a sort by sum) at its smallest threshold.
+    Shared: never mutate."""
+    dtype = np.min_scalar_type(bound * n)
+    mm = minterm_matrix(n).astype(dtype)
+    sums, best = {}, {}
+    w = np.asarray(list(itertools.combinations_with_replacement(
+        range(bound, -1, -1), n)), dtype=dtype)
+    w = w[np.argsort(w.sum(axis=1, dtype=np.int64))]
+    row_sums, scores = w.sum(axis=1, dtype=np.int64), w @ mm.T
+    for t in range(1, int(scores.max()) + 1):
+        packed = np.packbits(scores >= t, axis=1, bitorder="little")
+        keys = packed.view(f"<u{packed.shape[1]}")[:, 0]
+        tables, first = np.unique(keys, return_index=True)
+        for bits, total, row in zip(tables.tolist(), row_sums[first].tolist(),
+                                    first.tolist()):
+            if bits and total < sums.get(bits, total + 1):
+                sums[bits] = total
+                best[bits] = (tuple(w[row].tolist()), t)
+    return best
+
+
 def reference_catalog(n_max):
-    """The catalog by detection: the NP class of every key of the n_max
-    table, then each class's realization from check_threshold, sorted by
-    (input count, table)."""
-    classes = {canonicalize_np(TruthTable(n_max, bits))
-               for bits in _sorted_tables(n_max, _MAX_WEIGHT[n_max])}
+    """The catalog by detection: the NP class of every key of the numpy
+    reference table on n_max inputs, then each class's realization from
+    check_threshold, sorted by (input count, table)."""
+    classes = {canonicalize_np(TruthTable(n_max, bits)) for bits in
+               reference_sorted_tables(n_max, _MAX_WEIGHT[n_max])}
     return [CatalogEntry(i, tt.n, tt, check_threshold(tt)) for i, tt in
             enumerate(sorted(classes, key=lambda t: (t.n, t.bits)))]
 

@@ -182,6 +182,37 @@ MUTANTS = [
            "t + sum(min(w, 0) for w in weights))",
            "t + 1 + sum(min(w, 0) for w in weights))",
            (f"{T}::test_maj3_weights", f"{T}::test_f115_weights")),
+    Mutant("oracle-keeps-largest-sum",
+           "src/ftl/threshold.py",
+           "range(_MAX_WEIGHT[n], -1, -1), n), key=sum):",
+           "range(_MAX_WEIGHT[n], -1, -1), n), key=lambda v: -sum(v)):",
+           (f"{T}::test_sorted_tables_equal_numpy_reference",)),
+    Mutant("oracle-threshold-one-low",
+           "src/ftl/threshold.py",
+           "best.setdefault(bits, (w, below + 1))",
+           "best.setdefault(bits, (w, below))",
+           (f"{T}::test_sorted_tables_equal_numpy_reference",
+            f"{T}::test_sorted_tables_have_one_minimum_sum_realization")),
+    Mutant("score-sets-shift-by-index",
+           "src/ftl/threshold.py",
+           "bits << (1 << i)",
+           "bits << i",
+           (f"{T}::test_sorted_tables_equal_numpy_reference",)),
+    Mutant("threshold-imports-numpy",
+           "src/ftl/threshold.py",
+           "from functools import lru_cache\n",
+           "from functools import lru_cache\n\nimport numpy\n",
+           (f"{C}::test_map_and_catalog_leave_numpy_unloaded",)),
+    Mutant("cli-imports-analysis",
+           "src/ftl/cli.py",
+           "from . import threshold\n",
+           "from . import analysis, threshold\n",
+           (f"{C}::test_map_and_catalog_leave_numpy_unloaded",)),
+    Mutant("map-imports-device",
+           "src/ftl/mapping.py",
+           "from .truthtable import TruthTable\n",
+           "from .truthtable import TruthTable\nfrom . import device\n",
+           (f"{C}::test_map_and_catalog_leave_numpy_unloaded",)),
     Mutant("catalog-realization-unchecked",
            "src/ftl/threshold.py",
            '            raise RuntimeError(f"catalog table {tt} lost its '

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: outputs, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from ftl.netlist import parse_blif
 from ftl.threshold import build_catalog
 
 CORPUS = "src/ftl/corpus"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -359,3 +363,27 @@ def test_map_zero_input_names(runner, tmp_path, rows):
     r = runner.invoke(main, ["map", str(blif), "--out", str(tmp_path)])
     assert r.exit_code == 2, r.output
     assert "constant .names for 'y'" in r.output
+
+
+def test_map_and_catalog_leave_numpy_unloaded(tmp_path):
+    """`ftl map` on a proven design and `ftl catalog` run in a fresh
+    interpreter without loading numpy: the oracle is integer work, and
+    each command imports only the modules it runs."""
+    script = f"""if True:
+        import sys
+        from ftl import cli
+        cli.main(["map", {CORPUS + "/f115_nandinv.blif"!r},
+                  "--out", {str(tmp_path / "map")!r}], standalone_mode=False)
+        cli.main(["catalog", "--out", {str(tmp_path / "catalog")!r}],
+                 standalone_mode=False)
+        print("numpy" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split()[-1] == "False", r.stdout
+    report = (tmp_path / "map" / "equivalence.txt").read_text().split("\n")
+    assert {"equivalent: True", "proved: True"} <= set(report), report
+    assert len((tmp_path / "catalog" / "catalog.csv").read_text()
+               .splitlines()) == 118

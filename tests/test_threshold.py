@@ -17,8 +17,8 @@ from ftl.truthtable import (Polarity, TruthTable, apply_complements,
                             to_positive_form, unateness)
 
 from helpers import (asummability_witnesses, brute_canonical_np,
-                     monotone_tables, permute_inputs_loop, realizes,
-                     reference_catalog)
+                     minterm_matrix, monotone_tables, permute_inputs_loop,
+                     realizes, reference_catalog, reference_sorted_tables)
 
 AND2 = parse_truth_table("8", 2)
 XOR2 = parse_truth_table("6", 2)
@@ -277,11 +277,18 @@ def test_count_matches_a000609():
         assert count_threshold_functions(n) == known, n
 
 
+def test_sorted_tables_equal_numpy_reference():
+    """The integer score sets give the numpy product's tables over the same
+    cap: the same tables, and for each the same W* and T."""
+    for n in range(7):
+        assert threshold._sorted_tables(n) == reference_sorted_tables(
+            n, threshold._MAX_WEIGHT[n]), n
+
+
 def test_capped_tables_equal_bound_16_tables():
     """Same tables, and for each the same W* and T."""
     for n in range(1, 7):
-        assert threshold._sorted_tables(n, threshold._MAX_WEIGHT[n]) == \
-            threshold._sorted_tables(n, 16), n
+        assert threshold._sorted_tables(n) == reference_sorted_tables(n, 16), n
 
 
 def test_equal_chow_inputs_get_equal_weights():
@@ -289,8 +296,7 @@ def test_equal_chow_inputs_get_equal_weights():
     only minimum-sum realization in any input order and check_threshold can
     read it from the table."""
     for n in range(1, 7):
-        for bits, (w, t) in threshold._sorted_tables(
-                n, threshold._MAX_WEIGHT[n]).items():
+        for bits, (w, t) in threshold._sorted_tables(n).items():
             chow = chow_parameters(TruthTable(n, bits))
             assert chow == sorted(chow, reverse=True), (n, bits)
             for i in range(n - 1):
@@ -303,13 +309,13 @@ def test_sorted_tables_have_one_minimum_sum_realization():
     smallest sum, whatever the threshold, and W* reaches it at T alone."""
     for n in range(1, 7):
         bound = threshold._MAX_WEIGHT[n]
-        table = threshold._sorted_tables(n, bound)
+        table = threshold._sorted_tables(n)
         for bits, (w, t) in table.items():
             assert [realizes(ThresholdFunction(w, t + d), TruthTable(n, bits))
                     for d in (-1, 0, 1)] == [False, True, False], (n, bits)
         vectors = list(itertools.combinations_with_replacement(
             range(bound, -1, -1), n))
-        scores = np.asarray(vectors) @ threshold._minterm_matrix(n).T
+        scores = np.asarray(vectors) @ minterm_matrix(n).T
         place = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
         seen = {}
         for t in range(1, int(scores.max()) + 1):
@@ -393,7 +399,7 @@ def test_catalog_lost_realization_raises(monkeypatch):
     """Any key whose threshold no longer realizes its table fails the
     catalog's check.  T - 1 never does, as T is the smallest that does."""
     for n_max in range(1, 6):
-        keys = threshold._sorted_tables(n_max, threshold._MAX_WEIGHT[n_max])
+        keys = threshold._sorted_tables(n_max)
         for bits, (w, t) in list(keys.items()):
             with monkeypatch.context() as m:
                 m.setitem(keys, bits, (w, t - 1))
@@ -430,12 +436,12 @@ def scan_reference(tt, bound=16):
     reduced = permute_inputs_loop(pos, used)
     chow = [sum(m >> i & 1 for m in reduced.onset()) for i in range(reduced.n)]
     order = tuple(sorted(range(reduced.n), key=lambda i: -chow[i]))
-    found = threshold._sorted_tables(reduced.n, bound).get(
+    found = reference_sorted_tables(reduced.n, bound).get(
         permute_inputs_loop(reduced, order).bits)
     if found is None:
         return None
     total = sum(found[0])
-    mm = threshold._minterm_matrix(reduced.n)
+    mm = minterm_matrix(reduced.n)
     on = np.array([bool(reduced.value(m)) for m in range(reduced.size)])
     vectors = compositions(total, reduced.n, bound)
     while batch := list(itertools.islice(vectors, 1 << 15)):
